@@ -14,7 +14,7 @@ import sys
 
 from . import verify
 from .errors import ConsistencyError, DomainError, PoleError
-from .hmat import algebra_check, mat_from_list, sp11_check, sp11_residual
+from .hmat import algebra_check, ensure_sp11, mat_from_list, sp11_check, sp11_residual
 from .lie import (centralizer_check, CENTRALIZER_SUBGROUPS, fact_to_dict,
                   slice_compose, slice_decompose, symm_compose, symm_decompose)
 from .metrics import geodesic_table
@@ -42,7 +42,11 @@ def _read_input(args) -> object:
 
 def _emit(payload: dict, fmt: str, human_lines: list[str]) -> None:
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True))
+        try:
+            text = json.dumps(payload, sort_keys=True, allow_nan=False)
+        except ValueError as exc:  # a NaN or infinity: fail rather than print non-JSON
+            raise ConsistencyError(f"result is not finite: {payload!r}") from exc
+        print(text)
     elif fmt == "csv":
         keys = sorted(payload)
         print(",".join(keys))
@@ -93,10 +97,7 @@ def cmd_mobius(args) -> int:
     data = _read_input(args)
     mat = mat_from_list(data["matrix"])
     point = quat_from_list(data["point"])
-    ok, residual = sp11_check(mat)
-    if not ok:
-        print(f"matrix is not in the group (residual {_fmt(residual)})", file=sys.stderr)
-        return EXIT_FAIL
+    ensure_sp11(mat)
     image = (classical_apply if args.kind == "classical" else regular_apply)(mat, point)
     _emit({"point": quat_to_list(image)}, args.format,
           [" ".join(_fmt(v) for v in quat_to_list(image))])

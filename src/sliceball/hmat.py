@@ -119,9 +119,15 @@ def scalar(v) -> QMat2:
 # Group membership and inversion.
 
 def sp11_residual(a: QMat2) -> float:
-    """Max-norm of adjoint(A) @ diag(1,-1) @ A - diag(1,-1)."""
-    k = i11()
-    return (a.adjoint() @ k @ a - k).max_norm()
+    """Max-norm of adjoint(A) @ diag(1,-1) @ A - diag(1,-1).
+
+    Multiplied out entrywise: for finite entries this rounds exactly as the
+    matrix products do, without their products with zero.
+    """
+    m11, m12, m21, m22 = a.entries()
+    c11, c12, c21, c22 = m11.conj(), m12.conj(), m21.conj(), m22.conj()
+    return max((c11 * m11 - c21 * m21 - 1.0).norm(), (c11 * m12 - c21 * m22).norm(),
+               (c12 * m11 - c22 * m21).norm(), (c12 * m12 - c22 * m22 + 1.0).norm())
 
 
 def sp11_check(a: QMat2, tol: float = GROUP_TOL) -> tuple[bool, float]:
@@ -130,9 +136,18 @@ def sp11_check(a: QMat2, tol: float = GROUP_TOL) -> tuple[bool, float]:
 
 
 def ensure_sp11(a: QMat2, tol: float = GROUP_TOL) -> QMat2:
-    ok, r = sp11_check(a, tol)
-    if not ok:
-        raise DomainError(f"matrix is not in the group (residual {r!r} > {tol!r})")
+    """Gate on group membership, relative to the entries' scale.
+
+    The residual is quadratic in the entries, so roundoff in a member of orbit
+    distance r grows like cosh(r)^2; the bound is tol * max(1, max_norm(A))^2.
+    A NaN residual fails the gate, and so does a bound that overflows, since it
+    would gate nothing.
+    """
+    r = sp11_residual(a)
+    scale = max(1.0, a.max_norm())
+    bound = tol * scale * scale
+    if not r <= bound < math.inf:
+        raise DomainError(f"matrix is not in the group (residual {r!r} > {bound!r})")
     return a
 
 

@@ -9,11 +9,10 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError
 from .hmat import QMat2, diag, ensure_sp11, exp_m, identity, scalar
-from .mobius import classical_apply, quotient_point
 from .quat import (BALL_MARGIN, I, ONE, Quaternion, as_quat, quat_from_list,
                    quat_to_list, sgn, slice_split)
 
-# Recomposition tolerance for both factorizations.
+# Recomposition tolerance for both factorizations, relative to max_norm(A)^2.
 DECOMP_TOL = 1e-9
 # Commutation tolerance defining the centralizer predicates.
 CENTRALIZER_TOL = 1e-12
@@ -38,55 +37,54 @@ class SliceFactorization:
 
 
 def symm_compose(f: SymmFactorization) -> QMat2:
-    return diag(f.u, f.v) @ exp_m(f.x)
+    """diag(u, v) exp(X), multiplied out entrywise (the same roundings as the
+    matrix product, without its products with zero)."""
+    e = exp_m(f.x)
+    return QMat2(f.u * e.m11, f.u * e.m12, f.v * e.m21, f.v * e.m22)
 
 
 def slice_compose(f: SliceFactorization) -> QMat2:
-    return diag(f.u, ONE) @ exp_m(f.x) @ scalar(f.v)
+    """diag(u, 1) exp(X) (v I2), multiplied out entrywise."""
+    e = exp_m(f.x)
+    return QMat2(f.u * e.m11 * f.v, f.u * e.m12 * f.v, e.m21 * f.v, e.m22 * f.v)
 
 
-def _m_direction(p: Quaternion) -> Quaternion:
-    """The off-diagonal direction whose exponential sends 0 to p: atanh(|p|) sgn(p)."""
-    n = p.norm()
-    if n >= 1.0 - BALL_MARGIN:
-        raise DomainError(f"orbit point |p| = {n!r} too close to the boundary for atanh")
-    if n == 0.0:
-        return Quaternion()
-    return sgn(p) * math.atanh(n)
+def _ensure_recomposes(recomposed: QMat2, a: QMat2, tol: float) -> None:
+    """Consistency gate shared by both factorizations, relative to max_norm(A)^2
+    like the group gate in front of them."""
+    off = (recomposed - a).max_norm()
+    scale = a.max_norm()
+    bound = tol * scale * scale
+    if not off <= bound:
+        raise ConsistencyError(f"factors recompose to within {off!r} of the input (> {bound!r})")
 
 
 def symm_decompose(a: QMat2, tol: float = DECOMP_TOL) -> SymmFactorization:
     """Invert the diffeomorphism (u, v, X) -> diag(u, v) exp(X).
 
-    The orbit point of the origin determines X; the remaining factor must then
-    be diagonal.
+    A = [[cosh(r) u, sinh(r) u conj(w)], [sinh(r) v w, cosh(r) v]] gives, in closed
+    form, u = sgn(m11), v = sgn(m22) and X = r sgn(m22^-1 m21) with r = asinh|m21|.
     """
     ensure_sp11(a)
-    p = classical_apply(a, Quaternion())
-    x = _m_direction(p)
-    d = a @ exp_m(-x)
-    off = max(d.m12.norm(), d.m21.norm())
-    if off > tol:
-        raise ConsistencyError(f"residual off-diagonal factor {off!r} exceeds {tol!r}")
-    return SymmFactorization(d.m11, d.m22, x)
+    x = sgn(a.m22.inverse() * a.m21) * math.asinh(a.m21.norm())
+    fact = SymmFactorization(sgn(a.m11), sgn(a.m22), x)
+    _ensure_recomposes(symm_compose(fact), a, tol)
+    return fact
 
 
 def slice_decompose(a: QMat2, tol: float = DECOMP_TOL) -> SliceFactorization:
     """Invert the diffeomorphism (u, X, v) -> diag(u, 1) exp(X) (v I2).
 
-    The double-coset invariant determines X; u is the ratio of the diagonal
-    entries; the leftover factor must be a scalar matrix v I2.
+    A = [[cosh(r) u v, sinh(r) u conj(w) v], [sinh(r) w v, cosh(r) v]] gives, in
+    closed form, u = m11 m22^-1, v = sgn(m22) and X = r sgn(m21 m22^-1) with
+    r = asinh|m21|; m21 m22^-1 = tanh(r) w is the quotient point.
     """
     ensure_sp11(a)
-    p = quotient_point(a)
-    x = _m_direction(p)
-    u = a.m11 * a.m22.inverse()
-    rest = exp_m(-x) @ diag(u.conj(), ONE) @ a
-    v = rest.m11
-    off = (rest - scalar(v)).max_norm()
-    if off > tol:
-        raise ConsistencyError(f"leftover factor off a scalar matrix by {off!r} (> {tol!r})")
-    return SliceFactorization(u, x, v)
+    m22_inv = a.m22.inverse()
+    x = sgn(a.m21 * m22_inv) * math.asinh(a.m21.norm())
+    fact = SliceFactorization(a.m11 * m22_inv, x, sgn(a.m22))
+    _ensure_recomposes(slice_compose(fact), a, tol)
+    return fact
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import DomainError
 from .mobius import FD_STEP, differential
 from .quat import ONE, Quaternion, as_quat, make_rng
 
@@ -92,6 +93,11 @@ def geodesic_table(u: Quaternion, t_min: float, t_max: float, steps: int,
     """Sample rows (t, point) of the orbit through a (origin geodesic when a is 0)."""
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
+    u = as_quat(u)
+    if not u.is_finite() or u.norm() == 0.0:
+        raise DomainError(f"orbit direction must be finite and nonzero, got {u!r}")
     base = as_quat(a) if a is not None else Quaternion()
+    if not base.norm() < 1.0:  # also rejects NaN
+        raise DomainError(f"orbit base point must lie in the open ball, |a| = {base.norm()!r}")
     ts = np.linspace(t_min, t_max, steps)
     return [(float(t), symm_geodesic(u, base, float(t))) for t in ts]

@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .hmat import GROUP_TOL, QMat2, hyperbolic, i11, sp11_inverse, sp11_residual
+from .hmat import GROUP_TOL, QMat2, ensure_sp11, hyperbolic, i11, sp11_residual
 from .quat import ONE, Quaternion, as_quat
 from .starpoly import linear_map, reg_conj, symmetrize
 
@@ -26,7 +26,7 @@ def classical_apply(a: QMat2, q: Quaternion) -> Quaternion:
     Composition is an anti-homomorphism: applying A then B equals applying A @ B.
     """
     q = as_quat(q)
-    if q.norm() >= 1.0:
+    if not q.norm() < 1.0:  # also rejects NaN
         raise DomainError(f"classical Mobius maps blow up outside the ball, |q| = {q.norm()!r}")
     den = q * a.m12 + a.m22
     if den.norm() == 0.0:
@@ -38,7 +38,7 @@ def regular_apply(a: QMat2, q: Quaternion) -> Quaternion:
     """The regular Mobius transformation: star-inverse of the denominator line
     star-multiplied with the numerator line, evaluated at q."""
     q = as_quat(q)
-    if q.norm() >= 1.0:
+    if not q.norm() < 1.0:  # also rejects NaN
         raise DomainError(f"regular Mobius maps are defined on the ball, |q| = {q.norm()!r}")
     den_line = linear_map(a.m12, a.m22)
     num = reg_conj(den_line) * linear_map(a.m11, a.m21)
@@ -93,21 +93,10 @@ def quotient_point(a: QMat2, tol: float = GROUP_TOL) -> Quaternion:
     """The double-coset invariant of a group matrix: the unique ball point sent
     to 0 by the regular transformation of the inverse matrix.
 
-    Computed as the in-ball zero of the numerator star-quadratic.
+    Closed form m21 m22^-1: for A = diag(u, 1) exp(X) v this is tanh|X| sgn(X).
     """
-    from .starpoly import quadratic_root_in_ball
-
-    inv = sp11_inverse(a, tol)
-    den_line = linear_map(inv.m12, inv.m22)
-    num = reg_conj(den_line) * linear_map(inv.m11, inv.m21)
-    report = quadratic_root_in_ball(num)
-    if report.spheres_in_ball():
-        raise ConsistencyError("numerator vanished on a whole sphere inside the ball")
-    candidates = report.points_in_ball()
-    if len(candidates) != 1:
-        raise ConsistencyError(
-            f"expected exactly one ball zero, found {len(candidates)}; input not in the group?")
-    return candidates[0]
+    ensure_sp11(a, tol)
+    return a.m21 * a.m22.inverse()
 
 
 def differential(fn: Callable[[Quaternion], Quaternion], q: Quaternion,

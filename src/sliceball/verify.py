@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from . import hmat, lie, mobius
 from .hmat import (QMat2, Sp11Algebra, diag, exp_general, exp_m, hyperbolic,
@@ -27,7 +26,7 @@ from .mobius import (classical_apply, differential, f_au, f_au_matrix,
                      mobius_M, quotient_point, regular_apply)
 from .quat import (I, J, ONE, Quaternion, sample_ball, sample_imaginary_unit,
                    sample_real_interval, sample_sphere3, sgn, slice_split)
-from .starpoly import (StarPoly, quadratic_root_in_ball, reg_conj,
+from .starpoly import (StarPoly, linear_map, quadratic_root_in_ball, reg_conj,
                        regularity_residual, symmetrize)
 
 
@@ -145,6 +144,8 @@ def check_exp_m_inverse(rng, trials: int) -> float:
 
 
 def check_exp_psi_oracle(rng, trials: int) -> float:
+    import scipy.linalg  # imported here so that importing sliceball does not load scipy
+
     worst = 0.0
     for _ in range(trials):
         x = _rand_alg(rng, 0.6)
@@ -707,6 +708,22 @@ def check_orbit_axis_example(rng, trials: int) -> float:
     return worst
 
 
+def check_quotient_root_oracle(rng, trials: int) -> float:
+    """The closed-form quotient point against the in-ball zero of the numerator
+    star-quadratic of the inverse matrix, found by the root finder."""
+    worst = 0.0
+    for _ in range(trials):
+        a = _rand_sp11(rng, 1.2)
+        inv = sp11_inverse(a)
+        num = reg_conj(linear_map(inv.m12, inv.m22)) * linear_map(inv.m11, inv.m21)
+        report = quadratic_root_in_ball(num)
+        zeros = report.points_in_ball()
+        if report.spheres_in_ball() or len(zeros) != 1:
+            return math.inf
+        worst = max(worst, (quotient_point(a) - zeros[0]).norm())
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # Registry and runner.
 
@@ -764,6 +781,8 @@ CHECKS: tuple[CheckDef, ...] = (
     CheckDef("orbit-invariance", "orbits", check_orbit_invariance, 100, 1e-9),
     CheckDef("orbit-grid-oracle", "orbits", check_orbit_grid_oracle, 10, 1e-6),
     CheckDef("orbit-axis-example", "orbits", check_orbit_axis_example, 50, 1e-12),
+    # Appended last so that every earlier check keeps its (seed, index) stream.
+    CheckDef("quotient-root-oracle", "mobius", check_quotient_root_oracle, 200, 1e-9),
 )
 
 CHECK_NAMES = tuple(c.name for c in CHECKS)
@@ -771,8 +790,10 @@ CHECK_NAMES = tuple(c.name for c in CHECKS)
 
 def run_check(check: CheckDef, seed: int, index: int, trials: int | None = None,
               tol: float | None = None) -> CheckResult:
-    rng = np.random.default_rng([seed, index])
     n = check.trials if trials is None else trials
+    if n < 1:
+        raise ValueError(f"a check needs at least 1 trial, got {n}")
+    rng = np.random.default_rng([seed, index])
     t = check.tol if tol is None else tol
     start = time.perf_counter()
     value = check.fn(rng, n)

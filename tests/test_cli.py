@@ -3,6 +3,12 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from sliceball.cli import main
 from sliceball.hmat import diag, exp_m, hyperbolic, i11, identity, mat_to_list
@@ -206,3 +212,62 @@ def test_file_input(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, monkeypatch,
                            ["check", "--what", "sp11", "--file", str(path)])
     assert code == 0 and out.startswith("PASS")
+
+
+def test_import_does_not_load_scipy():
+    # scipy is only needed by one verification oracle, so it is imported lazily
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, sliceball, sliceball.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("r", [4.0, 7.5])
+@pytest.mark.parametrize("mode", ["slice", "symm"])
+def test_decompose_far_from_the_identity(capsys, monkeypatch, r, mode):
+    c, s = math.cosh(r), math.sinh(r)
+    mat = [[[c, 0, 0, 0], [0, 0, -s, 0]], [[0, 0, s, 0], [c, 0, 0, 0]]]
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["decompose", "--mode", mode, "--format", "json"],
+                             stdin=json.dumps(mat))
+    assert code == 0, err
+    payload = json.loads(out)
+    assert max(abs(a - b) for a, b in zip(payload["X"], [0, 0, r, 0])) <= 1e-12 * r
+
+
+@pytest.mark.parametrize("kind", ["classical", "regular"])
+@pytest.mark.parametrize("point", [[math.nan, 0, 0, 0], [0, math.inf, 0, 0], [2, 0, 0, 0]])
+def test_mobius_rejects_points_off_the_ball(capsys, monkeypatch, kind, point):
+    payload = {"matrix": mat_to_list(identity()), "point": point}
+    code, out, err = run_cli(capsys, monkeypatch, ["mobius", "--kind", kind, "--format", "json"],
+                             stdin=json.dumps(payload))
+    assert code == 1 and out == ""
+    assert "domain error" in err
+
+
+def test_json_output_never_carries_nan(capsys, monkeypatch):
+    mat = mat_to_list(identity())
+    mat[0][0][0] = math.nan
+    code, out, _ = run_cli(capsys, monkeypatch, ["check", "--what", "sp11", "--format", "json"],
+                           stdin=json.dumps(mat))
+    assert code == 1 and out == ""
+
+
+@pytest.mark.parametrize("option", [["--a", "[2,0,0,0]"], ["--a", "[1,0,0,0]"],
+                                    ["--a", "[NaN,0,0,0]"], ["--u", "[0,0,0,0]"],
+                                    ["--u", "[NaN,0,0,0]"], ["--u", "[0,Infinity,0,0]"]])
+def test_table_orbit_rejects_out_of_domain_input(capsys, monkeypatch, option):
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["table", "--kind", "orbit", "--steps", "3"] + option)
+    assert code == 1 and out == ""
+    assert "domain error" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_fewer_than_one_trial(capsys, monkeypatch, trials):
+    code, out, err = run_cli(capsys, monkeypatch, ["verify", "--trials", trials])
+    assert code == 2 and out == ""
+    assert "at least 1 trial" in err

@@ -92,6 +92,30 @@ def test_decompose_rejects_non_members():
         slice_decompose(diag(1.0, 2.0))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_scaled_gate_still_rejects_non_members(scale):
+    # the group gate is relative to max_norm(A)^2, which must not let diag(1, 2) in
+    for fn in (symm_decompose, slice_decompose, quotient_point):
+        with pytest.raises(DomainError):
+            fn(diag(1.0, 2.0) * scale)
+
+
+@pytest.mark.parametrize("r", [3.0, 4.0, 7.5, 12.0, 20.0])
+def test_decompositions_far_from_the_identity(r):
+    # both factorizations are global: built factors come back at any orbit distance
+    rng = make_rng(int(10 * r))
+    u, v, w = sample_sphere3(rng), sample_sphere3(rng), sample_sphere3(rng)
+    x = w * r
+    a = slice_compose(SliceFactorization(u, x, v))
+    sfact = slice_decompose(a)
+    assert (sfact.u - u).norm() <= 1e-12 and (sfact.v - v).norm() <= 1e-12
+    assert (sfact.x - x).norm() <= 1e-12 * r
+    yfact = symm_decompose(symm_compose(SymmFactorization(u, v, x)))
+    assert (yfact.u - u).norm() <= 1e-12 and (yfact.v - v).norm() <= 1e-12
+    assert (yfact.x - x).norm() <= 1e-12 * r
+    assert (quotient_point(a) - w * math.tanh(r)).norm() <= 1e-12
+
+
 def test_iso_act_examples():
     q = Quaternion(0.2, 0.1, -0.3, 0.05)
     assert iso_g_act(ISO_IDENTITY, q) == q

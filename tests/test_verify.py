@@ -52,3 +52,13 @@ def test_quotient_survives_small_height_points():
     for seed in (9, 13):
         result = verify.run_check(verify.CHECKS[idx], seed, idx)
         assert result.passed, f"seed {seed}: residual {result.value!r}"
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_fewer_than_one_trial_is_rejected(trials):
+    # a run that samples nothing must not read as a pass
+    with pytest.raises(ValueError):
+        verify.run_checks("orbits", trials=trials)
+    with pytest.raises(ValueError):
+        verify.run_check(verify.CHECKS[0], 1, 0, trials=trials)
+
