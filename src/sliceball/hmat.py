@@ -118,16 +118,17 @@ def scalar(v) -> QMat2:
 # ---------------------------------------------------------------------------
 # Group membership and inversion.
 
-def sp11_residual(a: QMat2) -> float:
-    """Max-norm of adjoint(A) @ diag(1,-1) @ A - diag(1,-1).
+def _sp11_defect(a: QMat2) -> QMat2:
+    """adjoint(A) @ diag(1,-1) @ A - diag(1,-1), zero exactly on the group.
 
-    Multiplied out entrywise: for finite entries this rounds exactly as the
-    matrix products do, without their products with zero.
+    diag(1,-1) @ A is A with its second row negated, which is exact.
     """
-    m11, m12, m21, m22 = a.entries()
-    c11, c12, c21, c22 = m11.conj(), m12.conj(), m21.conj(), m22.conj()
-    return max((c11 * m11 - c21 * m21 - 1.0).norm(), (c11 * m12 - c21 * m22).norm(),
-               (c12 * m11 - c22 * m21).norm(), (c12 * m12 - c22 * m22 + 1.0).norm())
+    return a.adjoint() @ QMat2(a.m11, a.m12, -a.m21, -a.m22) - i11()
+
+
+def sp11_residual(a: QMat2) -> float:
+    """Max-norm of adjoint(A) @ diag(1,-1) @ A - diag(1,-1)."""
+    return _sp11_defect(a).max_norm()
 
 
 def sp11_check(a: QMat2, tol: float = GROUP_TOL) -> tuple[bool, float]:
@@ -135,19 +136,32 @@ def sp11_check(a: QMat2, tol: float = GROUP_TOL) -> tuple[bool, float]:
     return r <= tol, r
 
 
-def ensure_sp11(a: QMat2, tol: float = GROUP_TOL) -> QMat2:
-    """Gate on group membership, relative to the entries' scale.
+def column_scaled_norm(d: QMat2, a: QMat2) -> float:
+    """The largest |d_ij| / (s_i s_j), where s_i = max(1, |column i of A|).
 
-    The residual is quadratic in the entries, so roundoff in a member of orbit
-    distance r grows like cosh(r)^2; the bound is tol * max(1, max_norm(A))^2.
-    A NaN residual fails the gate, and so does a bound that overflows, since it
-    would gate nothing.
+    Entry (i, j) of adjoint(A) diag(1,-1) A pairs columns i and j of A, so its
+    roundoff is of order eps s_i s_j. Measured this way a member of any orbit
+    distance keeps a defect near eps, while a huge column gives no slack to the
+    entries of a tiny one. Used by every gate that must scale with A; a NaN
+    anywhere gives NaN.
     """
-    r = sp11_residual(a)
-    scale = max(1.0, a.max_norm())
-    bound = tol * scale * scale
-    if not r <= bound < math.inf:
-        raise DomainError(f"matrix is not in the group (residual {r!r} > {bound!r})")
+    s1 = max(1.0, math.hypot(a.m11.norm(), a.m21.norm()))
+    s2 = max(1.0, math.hypot(a.m12.norm(), a.m22.norm()))
+    ratios = (d.m11.norm() / s1 / s1, d.m12.norm() / s1 / s2,
+              d.m21.norm() / s2 / s1, d.m22.norm() / s2 / s2)
+    return math.nan if any(map(math.isnan, ratios)) else max(ratios)
+
+
+def ensure_sp11(a: QMat2, tol: float = GROUP_TOL) -> QMat2:
+    """Gate on group membership, relative to the scale of A's columns.
+
+    The defect is quadratic in the entries, so roundoff in a member of orbit
+    distance r grows like cosh(2r); entry (i, j) of the defect may reach
+    tol * s_i * s_j (see column_scaled_norm). A NaN or an overflow fails.
+    """
+    r = column_scaled_norm(_sp11_defect(a), a)
+    if not r <= tol:
+        raise DomainError(f"matrix is not in the group (column-scaled residual {r!r} > {tol!r})")
     return a
 
 

@@ -8,11 +8,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError
-from .hmat import QMat2, diag, ensure_sp11, exp_m, identity, scalar
+from .hmat import QMat2, column_scaled_norm, diag, ensure_sp11, exp_m, identity, scalar
 from .quat import (BALL_MARGIN, I, ONE, Quaternion, as_quat, quat_from_list,
                    quat_to_list, sgn, slice_split)
 
-# Recomposition tolerance for both factorizations, relative to max_norm(A)^2.
+# Recomposition tolerance for both factorizations, relative to A's column scales.
 DECOMP_TOL = 1e-9
 # Commutation tolerance defining the centralizer predicates.
 CENTRALIZER_TOL = 1e-12
@@ -37,26 +37,20 @@ class SliceFactorization:
 
 
 def symm_compose(f: SymmFactorization) -> QMat2:
-    """diag(u, v) exp(X), multiplied out entrywise (the same roundings as the
-    matrix product, without its products with zero)."""
-    e = exp_m(f.x)
-    return QMat2(f.u * e.m11, f.u * e.m12, f.v * e.m21, f.v * e.m22)
+    return diag(f.u, f.v) @ exp_m(f.x)
 
 
 def slice_compose(f: SliceFactorization) -> QMat2:
-    """diag(u, 1) exp(X) (v I2), multiplied out entrywise."""
-    e = exp_m(f.x)
-    return QMat2(f.u * e.m11 * f.v, f.u * e.m12 * f.v, e.m21 * f.v, e.m22 * f.v)
+    return diag(f.u, ONE) @ exp_m(f.x) @ scalar(f.v)
 
 
 def _ensure_recomposes(recomposed: QMat2, a: QMat2, tol: float) -> None:
-    """Consistency gate shared by both factorizations, relative to max_norm(A)^2
+    """Consistency gate shared by both factorizations, scaled by A's columns
     like the group gate in front of them."""
-    off = (recomposed - a).max_norm()
-    scale = a.max_norm()
-    bound = tol * scale * scale
-    if not off <= bound:
-        raise ConsistencyError(f"factors recompose to within {off!r} of the input (> {bound!r})")
+    off = column_scaled_norm(recomposed - a, a)
+    if not off <= tol:
+        raise ConsistencyError(
+            f"factors recompose to within a column-scaled {off!r} of the input (> {tol!r})")
 
 
 def symm_decompose(a: QMat2, tol: float = DECOMP_TOL) -> SymmFactorization:

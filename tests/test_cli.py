@@ -103,6 +103,15 @@ def test_mobius_rejects_nonmember(capsys, monkeypatch):
     assert code == 1 and "not in the group" in err
 
 
+def test_mobius_rejects_a_tiny_column_beside_a_huge_one(capsys, monkeypatch):
+    # far from the group, though each residual entry is small next to max_norm(A)^2
+    c, s = math.cosh(15.0), math.sinh(15.0)
+    mat = [[[c, 0, 0, 0], [0, 0, 0, 0]], [[s, 0, 0, 0], [1e-5, 0, 0, 0]]]
+    payload = {"matrix": mat, "point": [0, 0, 0, 0]}
+    code, out, err = run_cli(capsys, monkeypatch, ["mobius"], stdin=json.dumps(payload))
+    assert code == 1 and out == "" and "not in the group" in err
+
+
 def test_decompose_symm_identity(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, monkeypatch,
                            ["decompose", "--mode", "symm", "--format", "json"],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sliceball.errors import DomainError
-from sliceball.hmat import diag, exp_m, hyperbolic, i_eps, identity, scalar
+from sliceball.hmat import QMat2, diag, exp_m, hyperbolic, i_eps, identity, scalar
 from sliceball.lie import (ISO_IDENTITY, IsoGElement,
                            SliceFactorization, SymmFactorization,
                            centralizer_check, fact_to_dict, iso_g_act,
@@ -92,12 +92,17 @@ def test_decompose_rejects_non_members():
         slice_decompose(diag(1.0, 2.0))
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e3])
-def test_scaled_gate_still_rejects_non_members(scale):
-    # the group gate is relative to max_norm(A)^2, which must not let diag(1, 2) in
+@pytest.mark.parametrize("a", [
+    diag(1.0, 2.0),
+    diag(1.0, 2.0) * 1e3,
+    # a huge first column must not excuse the second: m21 m22^-1 here is ~1.6e11
+    QMat2(math.cosh(15.0), 0.0, math.sinh(15.0), 1e-5),
+], ids=["diag", "diag-scaled", "tiny-column"])
+def test_scaled_gate_still_rejects_non_members(a):
+    # the group gate scales with A's columns, which must not let these in
     for fn in (symm_decompose, slice_decompose, quotient_point):
         with pytest.raises(DomainError):
-            fn(diag(1.0, 2.0) * scale)
+            fn(a)
 
 
 @pytest.mark.parametrize("r", [3.0, 4.0, 7.5, 12.0, 20.0])
