@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tab = sub.add_parser("table", help="emit a geodesic or orbit sample table as CSV")
     p_tab.add_argument("--kind", choices=["geodesic", "orbit"], default="geodesic")
-    p_tab.add_argument("--u", default="[1,0,0,0]", help="direction quaternion as JSON")
+    p_tab.add_argument("--u", default="[1,0,0,0]", help="unit direction quaternion as JSON")
     p_tab.add_argument("--a", default="[0,0,0,0]", help="orbit base point as JSON")
     p_tab.add_argument("--t-min", type=float, default=-2.0)
     p_tab.add_argument("--t-max", type=float, default=2.0)

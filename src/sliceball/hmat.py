@@ -132,8 +132,10 @@ def sp11_residual(a: QMat2) -> float:
 
 
 def sp11_check(a: QMat2, tol: float = GROUP_TOL) -> tuple[bool, float]:
-    r = sp11_residual(a)
-    return r <= tol, r
+    """Membership under the column-scaled rule of ensure_sp11, paired with the
+    absolute residual sp11_residual(a)."""
+    d = _sp11_defect(a)
+    return column_scaled_norm(d, a) <= tol, d.max_norm()
 
 
 def column_scaled_norm(d: QMat2, a: QMat2) -> float:

@@ -13,6 +13,8 @@ from .errors import DomainError
 from .mobius import FD_STEP, differential
 from .quat import ONE, Quaternion, as_quat, make_rng
 
+UNIT_TOL = 1e-9  # how far | |u| - 1 | may stray for a table direction u
+
 MetricFn = Callable[[Quaternion, Quaternion, Quaternion], float]
 
 
@@ -94,8 +96,8 @@ def geodesic_table(u: Quaternion, t_min: float, t_max: float, steps: int,
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
     u = as_quat(u)
-    if not u.is_finite() or u.norm() == 0.0:
-        raise DomainError(f"orbit direction must be finite and nonzero, got {u!r}")
+    if not abs(u.norm() - 1.0) <= UNIT_TOL:  # also rejects NaN and infinity
+        raise DomainError(f"orbit direction must be a unit quaternion, |u| = {u.norm()!r}")
     base = as_quat(a) if a is not None else Quaternion()
     if not base.norm() < 1.0:  # also rejects NaN
         raise DomainError(f"orbit base point must lie in the open ball, |a| = {base.norm()!r}")

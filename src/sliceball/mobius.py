@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .hmat import GROUP_TOL, QMat2, ensure_sp11, hyperbolic, i11, sp11_residual
+from .hmat import GROUP_TOL, QMat2, ensure_sp11, hyperbolic, i11, sp11_check
 from .quat import ONE, Quaternion, as_quat
 from .starpoly import linear_map, reg_conj, symmetrize
 
@@ -69,7 +69,7 @@ class MobiusMap:
 def mobius_M(a: Quaternion) -> QMat2:
     """M(a) = [[1, -conj(a)], [-a, 1]] / sqrt(1 - |a|^2); inverse is M(-a)."""
     a = as_quat(a)
-    if a.norm() >= 1.0:
+    if not a.norm() < 1.0:  # also rejects NaN
         raise DomainError(f"M(a) needs |a| < 1, got {a.norm()!r}")
     s = 1.0 / math.sqrt(1.0 - a.norm_sq())
     return QMat2(ONE * s, a.conj() * -s, a * -s, ONE * s)
@@ -136,17 +136,15 @@ def o11_classify(a: QMat2, tol: float = GROUP_TOL) -> O11Parts:
     for m in a.entries():
         if m.im_norm() > 1e-12:
             raise DomainError("matrix has non-real entries")
-    if sp11_residual(a) > tol:
+    if not sp11_check(a, tol)[0]:
         raise DomainError("real matrix does not preserve the signature-(1,1) form")
-    a11, a12, a21, a22 = (m.w for m in a.entries())
-    det = a11 * a22 - a12 * a21
-    reflected = det < 0.0
-    if reflected:
-        # Peel off diag(1, -1) on the right: negate the second column.
-        a12, a22 = -a12, -a22
+    a11, _, a21, a22 = (m.w for m in a.entries())
+    # eps * H(t) has a11 and a22 of one sign, and diag(1, -1) on the right flips
+    # a22. Signs and asinh stay exact at any t, whereas det(A) and
+    # atanh(a21 / a11) have lost every digit by t = 20.
     eps = 1 if a11 > 0.0 else -1
-    t = math.atanh(a21 / a11)
-    return O11Parts(eps, reflected, t)
+    reflected = (a22 > 0.0) != (a11 > 0.0)
+    return O11Parts(eps, reflected, math.asinh(eps * a21))
 
 
 def o11_compose(parts: O11Parts) -> QMat2:

@@ -234,6 +234,32 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_verify_does_not_load_scipy():
+    # both oracles run on numpy alone, so a full run never imports scipy
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys; from sliceball.cli import main; "
+            "code = main(['verify', '--suite', 'all', '--seed', '1']); "
+            "print('scipy' in sys.modules, file=sys.stderr); sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "47/47 checks passed" in proc.stdout
+    assert proc.stderr.splitlines()[-1] == "False"
+
+
+def test_check_sp11_far_from_the_identity(capsys, monkeypatch):
+    # exp(7.5 j) decomposes, so check --what sp11 must pass it too; the
+    # reported residual stays the absolute one
+    c, s = math.cosh(7.5), math.sinh(7.5)
+    mat = [[[c, 0, 0, 0], [0, 0, -s, 0]], [[0, 0, s, 0], [c, 0, 0, 0]]]
+    code, out, err = run_cli(capsys, monkeypatch, ["check", "--what", "sp11", "--format", "json"],
+                             stdin=json.dumps(mat))
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["pass"] is True and payload["residual"] > 1e-10
+
+
 @pytest.mark.parametrize("r", [4.0, 7.5])
 @pytest.mark.parametrize("mode", ["slice", "symm"])
 def test_decompose_far_from_the_identity(capsys, monkeypatch, r, mode):
@@ -273,6 +299,15 @@ def test_table_orbit_rejects_out_of_domain_input(capsys, monkeypatch, option):
                              ["table", "--kind", "orbit", "--steps", "3"] + option)
     assert code == 1 and out == ""
     assert "domain error" in err
+
+
+@pytest.mark.parametrize("kind", ["geodesic", "orbit"])
+def test_table_rejects_a_non_unit_direction(capsys, monkeypatch, kind):
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["table", "--kind", kind, "--u", "[2,0,0,0]",
+                              "--t-min", "2", "--t-max", "3", "--steps", "2"])
+    assert code == 1 and out == ""
+    assert "domain error" in err and "unit" in err
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

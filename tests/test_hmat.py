@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from sliceball import verify
 from sliceball.errors import DomainError
 from sliceball.hmat import (QMat2, Sp11Algebra, algebra_check, algebra_residual,
                             cartan_split, cmat_from_list, cmat_to_list, diag,
@@ -45,6 +46,16 @@ def test_sp11_check_examples():
     ok, res = sp11_check(hyperbolic(1.0))
     assert ok and res <= 1e-15
     assert not sp11_check(diag(1.0, 2.0))[0]
+
+
+def test_sp11_check_scales_with_the_columns():
+    # exp(7.5 j): the absolute residual 1.2e-10 is roundoff of entries near
+    # cosh(7.5)^2, so membership passes while the absolute residual is reported
+    a = exp_m(J * 7.5)
+    ok, res = sp11_check(a)
+    assert ok and res > 1e-10
+    assert not sp11_check(QMat2(math.cosh(15), 0.0, math.sinh(15), 1e-5))[0]
+    assert not sp11_check(QMat2(Quaternion(math.nan), 0.0, 0.0, 1.0))[0]
 
 
 def test_sp11_inverse_examples():
@@ -120,6 +131,16 @@ def test_exp_general_diagonal_reduces_to_quaternion_exp():
     # exp(diag(pi*i, 0)) = diag(-1, 1)
     half_turn = exp_general(diag_alg(I * math.pi, Quaternion()))
     assert (half_turn - diag(-1.0, 1.0)).max_norm() <= 1e-13
+
+
+def test_eig_oracle_agrees_with_scipy_expm():
+    # the exp-psi-oracle check must measure exp_general, not its own error
+    rng = make_rng(40)
+    worst = 0.0
+    for _ in range(2000):
+        m = psi_embed(verify._rand_alg(rng, 0.6).as_matrix())
+        worst = max(worst, float(np.abs(verify._expm_eig(m) - scipy.linalg.expm(m)).max()))
+    assert worst <= 1e-13
 
 
 def test_psi_examples():

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from sliceball.errors import DomainError
 from sliceball.hmat import exp_m, hyperbolic, i11
 from sliceball.metrics import (geodesic_table, poincare_g, pullback_residual,
                                slice_g, slice_h, slice_omega, slice_ray,
@@ -141,6 +142,13 @@ def test_geodesic_table():
     assert abs(rows[0][1].w - math.tanh(1.0)) <= 1e-12
     with pytest.raises(ValueError):
         geodesic_table(ONE, 0.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("u", [ONE * 2.0, ONE * (1.0 + 1e-8), ONE * 0.5, Quaternion()])
+@pytest.mark.parametrize("a", [None, Quaternion(0.3)])
+def test_table_rejects_a_non_unit_direction(u, a):
+    with pytest.raises(DomainError):
+        geodesic_table(u, 2.0, 3.0, 2, a=a)
 
 
 def test_orbit_table_through_base_point():

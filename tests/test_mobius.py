@@ -63,6 +63,8 @@ def test_mobius_M_examples():
     assert (mobius_M(b) - exp_m(-sgn(b) * math.atanh(b.norm()))).max_norm() <= 1e-14
     with pytest.raises(DomainError):
         mobius_M(Quaternion(1.0))
+    with pytest.raises(DomainError):
+        mobius_M(Quaternion(math.nan))
 
 
 def test_f_au_examples():
@@ -169,8 +171,24 @@ def test_o11_classify_roundtrip():
         assert (o11_compose(parts) - mat).max_norm() <= 1e-12
 
 
+@pytest.mark.parametrize("t", [10.0, -12.0, 20.0, 30.0])
+@pytest.mark.parametrize("eps", [1, -1])
+@pytest.mark.parametrize("reflected", [False, True])
+def test_o11_classify_far_from_the_identity(t, eps, reflected):
+    # the absolute residual of H(10) is already 3e-8; the column-scaled gate
+    # accepts these, so the parts must come out right too
+    mat = hyperbolic(t) * float(eps)
+    if reflected:
+        mat = mat @ i11()
+    parts = o11_classify(mat)
+    assert (parts.eps, parts.reflected) == (eps, reflected)
+    assert abs(parts.t - t) <= 1e-15 * abs(t)
+
+
 def test_o11_classify_rejects():
     with pytest.raises(DomainError):
         o11_classify(diag(I, ONE))
     with pytest.raises(DomainError):
         o11_classify(diag(1.0, 2.0))
+    with pytest.raises(DomainError):
+        o11_classify(diag(math.nan, 1.0))

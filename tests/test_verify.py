@@ -1,8 +1,13 @@
 """Runner mechanics of the verification suite."""
 
+import math
+
+import numpy as np
 import pytest
 
-from sliceball import verify
+from sliceball import hmat, lie, verify
+from sliceball.errors import ConsistencyError
+from sliceball.quat import J, Quaternion
 
 
 def test_registry_names_unique():
@@ -62,3 +67,50 @@ def test_fewer_than_one_trial_is_rejected(trials):
     with pytest.raises(ValueError):
         verify.run_check(verify.CHECKS[0], 1, 0, trials=trials)
 
+
+def _run_named(name: str, seed: int = 1):
+    index = verify.CHECK_NAMES.index(name)
+    return verify.run_check(verify.CHECKS[index], seed, index)
+
+
+def test_exp_psi_oracle_catches_a_wrong_exponential(monkeypatch):
+    assert _run_named("exp-psi-oracle").passed
+    monkeypatch.setattr(verify, "exp_general",
+                        lambda x: hmat.exp_general(x) + hmat.identity() * 1e-8)
+    assert not _run_named("exp-psi-oracle").passed
+
+
+_REAL_EIG = np.linalg.eig
+
+
+def _nan_eig(m):
+    lam, vecs = _REAL_EIG(m)
+    return lam * math.nan, vecs
+
+
+def _singular_eig(m):
+    raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+
+@pytest.mark.parametrize("eig", [_nan_eig, _singular_eig])
+def test_exp_psi_oracle_fails_when_the_decomposition_fails(monkeypatch, eig):
+    # a NaN or a LinAlgError reads as infinity, never as a dropped trial
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    result = _run_named("exp-psi-oracle")
+    assert result.value == math.inf and not result.passed
+
+
+def test_orbit_grid_oracle_catches_a_wrong_invariant(monkeypatch):
+    assert _run_named("orbit-grid-oracle").passed
+    monkeypatch.setattr(verify, "orbit_invariant", lambda q: lie.orbit_invariant(q) + 1e-5)
+    assert not _run_named("orbit-grid-oracle").passed
+
+
+def test_orbit_grid_oracle_needs_a_bracketed_crossing():
+    q = J * 0.5  # crosses the imaginary axis at t = 0
+    assert abs(verify._orbit_grid_oracle(q) - 0.5) <= 1e-15
+    with pytest.raises(ConsistencyError):
+        verify._orbit_grid_oracle(q, t_lo=1.0, t_hi=5.0)
+    # a point so near the boundary that its crossing lies beyond t = -5
+    with pytest.raises(ConsistencyError):
+        verify._orbit_grid_oracle(Quaternion(0.9999999, 1e-9))
