@@ -241,13 +241,6 @@ def algebra_check(x: QMat2, tol: float = ALGEBRA_TOL) -> tuple[bool, float]:
     return r <= tol, r
 
 
-def algebra_from_matrix(x: QMat2, tol: float = ALGEBRA_TOL) -> Sp11Algebra:
-    ok, r = algebra_check(x, tol)
-    if not ok:
-        raise DomainError(f"matrix is not in the algebra (residual {r!r} > {tol!r})")
-    return Sp11Algebra(x.m11.im(), x.m22.im(), x.m21)
-
-
 def cartan_split(x: Sp11Algebra) -> tuple[Sp11Algebra, Sp11Algebra]:
     """Exact split into the diagonal (isotropy) part and the off-diagonal part."""
     return diag_alg(x.p, x.q), off_diag(x.a)
@@ -335,11 +328,6 @@ def k11() -> np.ndarray:
     return psi_embed(i11())
 
 
-def k1i() -> np.ndarray:
-    """diag(1, i, 1, i); its square is the image of diag(1, -1)."""
-    return np.diag([1.0, 1.0j, 1.0, 1.0j])
-
-
 def rho(m: np.ndarray) -> np.ndarray:
     """Conjugation by diag(1, i, 1, i), moving the embedded group onto its complex realization."""
     d = np.array([1.0, 1.0j, 1.0, 1.0j])
@@ -360,7 +348,7 @@ def hat_sp11_check(m: np.ndarray, tol: float = GROUP_TOL) -> tuple[bool, float]:
 
 
 # ---------------------------------------------------------------------------
-# JSON wire formats.
+# JSON wire format.
 
 def mat_to_list(a: QMat2) -> list:
     from .quat import quat_to_list
@@ -375,14 +363,3 @@ def mat_from_list(data) -> QMat2:
         raise ValueError(f"expected a 2x2 array of quaternions, got {data!r}")
     return QMat2(quat_from_list(data[0][0]), quat_from_list(data[0][1]),
                  quat_from_list(data[1][0]), quat_from_list(data[1][1]))
-
-
-def cmat_to_list(m: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
-
-
-def cmat_from_list(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.shape != (4, 4, 2):
-        raise ValueError(f"expected a 4x4 array of [re, im] pairs, got shape {arr.shape}")
-    return arr[..., 0] + 1j * arr[..., 1]

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError
 from .hmat import QMat2, column_scaled_norm, diag, ensure_sp11, exp_m, identity, scalar
-from .quat import (BALL_MARGIN, I, ONE, Quaternion, as_quat, quat_from_list,
-                   quat_to_list, sgn, slice_split)
+from .quat import (BALL_MARGIN, I, ONE, Quaternion, as_quat, quat_to_list, sgn,
+                   slice_split)
 
 # Recomposition tolerance for both factorizations, relative to A's column scales.
 DECOMP_TOL = 1e-9
@@ -206,13 +206,3 @@ def fact_to_dict(f) -> dict:
     if isinstance(f, SliceFactorization):
         return {"u": quat_to_list(f.u), "v": quat_to_list(f.v), "X": quat_to_list(f.x)}
     raise TypeError(f"not a factorization: {f!r}")
-
-
-def symm_fact_from_dict(data) -> SymmFactorization:
-    return SymmFactorization(quat_from_list(data["u"]), quat_from_list(data["v"]),
-                             quat_from_list(data["X"]))
-
-
-def slice_fact_from_dict(data) -> SliceFactorization:
-    return SliceFactorization(quat_from_list(data["u"]), quat_from_list(data["X"]),
-                              quat_from_list(data["v"]))

@@ -58,12 +58,13 @@ def slice_omega(q: Quaternion, alpha: Quaternion, beta: Quaternion) -> Quaternio
 def pullback_residual(fn: Callable[[Quaternion], Quaternion], metric: MetricFn,
                       q: Quaternion, rng, trials: int = 8, h: float = FD_STEP) -> float:
     """Max over sampled tangent pairs of
-    |metric_q(alpha, beta) - metric_{fn(q)}(dfn alpha, dfn beta)|."""
+    |metric_q(alpha, beta) - metric_{fn(q)}(dfn alpha, dfn beta)|; NaN if any
+    difference is NaN or no pair was sampled."""
     rng = make_rng(rng)
     q = as_quat(q)
     jac = differential(fn, q, h)
     image = fn(q)
-    worst = 0.0
+    diffs = []
     for _ in range(trials):
         av = rng.standard_normal(4)
         bv = rng.standard_normal(4)
@@ -71,14 +72,17 @@ def pullback_residual(fn: Callable[[Quaternion], Quaternion], metric: MetricFn,
         beta = Quaternion(*bv)
         da = Quaternion(*(jac @ av))
         db = Quaternion(*(jac @ bv))
-        worst = max(worst, abs(metric(q, alpha, beta) - metric(image, da, db)))
-    return worst
+        diffs.append(abs(metric(q, alpha, beta) - metric(image, da, db)))
+    return math.nan if any(map(math.isnan, diffs)) else max(diffs, default=math.nan)
 
 
 def symm_geodesic(u: Quaternion, a: Quaternion, t: float) -> Quaternion:
     """(1 + tanh(t) a conj(u))^-1 (a + tanh(t) u): the one-parameter orbit through a.
 
     With a = 0 this is the unit-speed Poincare geodesic tanh(t) u through the origin.
+    Despite the name, for other a it is not a geodesic in general: the orbit keeps a
+    constant Poincare distance from the line tanh(s) u, and is a geodesic only when
+    a lies on that line.
     """
     u, a = as_quat(u), as_quat(a)
     tt = math.tanh(t)

@@ -6,7 +6,6 @@ differentials, and the coset classification of real group elements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -47,23 +46,6 @@ def regular_apply(a: QMat2, q: Quaternion) -> Quaternion:
         raise ConsistencyError(
             "denominator symmetrization vanished inside the ball; entry convention or input broken")
     return dval.inverse() * num.eval(q)
-
-
-@dataclass(frozen=True)
-class MobiusMap:
-    """A Mobius transformation carried by a group matrix, in classical or regular flavor."""
-
-    matrix: QMat2
-    kind: str = "classical"  # "classical" | "regular"
-
-    def __post_init__(self):
-        if self.kind not in ("classical", "regular"):
-            raise DomainError(f"kind must be 'classical' or 'regular', got {self.kind!r}")
-
-    def __call__(self, q: Quaternion) -> Quaternion:
-        if self.kind == "classical":
-            return classical_apply(self.matrix, q)
-        return regular_apply(self.matrix, q)
 
 
 def mobius_M(a: Quaternion) -> QMat2:

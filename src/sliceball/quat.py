@@ -168,12 +168,6 @@ def in_ball(q: Quaternion, margin: float = BALL_MARGIN) -> bool:
     return q.norm() < 1.0 - margin
 
 
-def ensure_in_ball(q: Quaternion, margin: float = BALL_MARGIN) -> Quaternion:
-    if not in_ball(q, margin):
-        raise DomainError(f"point with |q| = {q.norm()!r} is not inside the open unit ball")
-    return q
-
-
 def normalized(q: Quaternion) -> Quaternion:
     n = q.norm()
     if n == 0.0:
@@ -197,9 +191,6 @@ def quat_from_list(data) -> Quaternion:
 # ---------------------------------------------------------------------------
 # Seeded sampling.  The generator is numpy's PCG64, which is stable across
 # platforms for a fixed seed.
-
-SAMPLE_KINDS = ("ball", "sphere3", "imaginary-unit", "real-interval")
-
 
 def make_rng(seed) -> np.random.Generator:
     """Accept an int seed (or seed sequence material) or pass a Generator through."""
@@ -242,17 +233,3 @@ def sample_real_interval(rng) -> Quaternion:
     """Uniform real quaternion in (-1, 1)."""
     rng = make_rng(rng)
     return Quaternion((1.0 - 2.0 * BALL_MARGIN) * (2.0 * float(rng.random()) - 1.0))
-
-
-def sample(kind: str, rng) -> Quaternion:
-    """Draw one quaternion of the requested kind; deterministic given the seed."""
-    rng = make_rng(rng)
-    if kind == "ball":
-        return sample_ball(rng)
-    if kind == "sphere3":
-        return sample_sphere3(rng)
-    if kind == "imaginary-unit":
-        return sample_imaginary_unit(rng)
-    if kind == "real-interval":
-        return sample_real_interval(rng)
-    raise ValueError(f"unknown sample kind {kind!r}; expected one of {SAMPLE_KINDS}")

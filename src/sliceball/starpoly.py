@@ -82,10 +82,6 @@ class StarPoly:
         return max((c.norm() for c in self.coeffs), default=0.0)
 
 
-def star_mul(f: StarPoly, g: StarPoly) -> StarPoly:
-    return f * g
-
-
 def reg_conj(f: StarPoly) -> StarPoly:
     """Regular conjugate: conjugate every coefficient."""
     return StarPoly([c.conj() for c in f.coeffs])
@@ -395,18 +391,3 @@ def regularity_residual(f, q: Quaternion, h: float = 1e-5, unit=None) -> float:
     fx = (at(x + h, y) - at(x - h, y)) / (2.0 * h)
     fy = (at(x, y + h) - at(x, y - h)) / (2.0 * h)
     return ((fx + i_unit * fy) * 0.5).norm()
-
-
-# ---------------------------------------------------------------------------
-# JSON wire format: list of [w, x, y, z] arrays, index = power.
-
-def poly_to_list(f: StarPoly) -> list:
-    from .quat import quat_to_list
-    return [quat_to_list(c) for c in f.coeffs]
-
-
-def poly_from_list(data) -> StarPoly:
-    from .quat import quat_from_list
-    if not isinstance(data, (list, tuple)):
-        raise ValueError(f"expected a list of coefficient arrays, got {data!r}")
-    return StarPoly([quat_from_list(c) for c in data])

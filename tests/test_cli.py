@@ -260,6 +260,21 @@ def test_check_sp11_far_from_the_identity(capsys, monkeypatch):
     assert payload["pass"] is True and payload["residual"] > 1e-10
 
 
+
+def test_check_o11_reports_the_group_residual(capsys, monkeypatch):
+    # far from the identity the o11 report carries the same absolute residual
+    # as check --what sp11, not a hard-coded zero
+    stdin = json.dumps(mat_to_list(hyperbolic(12.0)))
+    reports = {}
+    for what in ("o11", "sp11"):
+        code, out, err = run_cli(capsys, monkeypatch, ["check", "--what", what, "--format", "json"],
+                                 stdin=stdin)
+        assert code == 0, err
+        reports[what] = json.loads(out)
+    assert reports["o11"]["t"] == 12.0
+    assert reports["o11"]["residual"] == reports["sp11"]["residual"] > 1e-7
+
+
 @pytest.mark.parametrize("r", [4.0, 7.5])
 @pytest.mark.parametrize("mode", ["slice", "symm"])
 def test_decompose_far_from_the_identity(capsys, monkeypatch, r, mode):

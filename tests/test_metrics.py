@@ -69,6 +69,15 @@ def test_pullback_identity_map():
     assert pullback_residual(lambda p: p, poincare_g, q, rng) <= 1e-9
 
 
+def test_pullback_residual_keeps_a_nan():
+    rng = make_rng(34)
+    q = sample_ball(rng, 0.5)
+    assert math.isnan(pullback_residual(lambda p: p, lambda *args: math.nan, q, rng))
+    # NaN on some tangent pairs only
+    metric = lambda at, a, b: math.nan if a.w > 0.0 else slice_g(at, a, b)
+    assert math.isnan(pullback_residual(lambda p: p, metric, q, rng))
+
+
 def test_poincare_invariant_under_group():
     rng = make_rng(34)
     from sliceball.hmat import diag
@@ -155,3 +164,16 @@ def test_orbit_table_through_base_point():
     u0 = I
     rows = geodesic_table(u0, -1.0, 1.0, 3, a=Quaternion())
     assert (rows[2][1] - I * math.tanh(1.0)).norm() <= 1e-15
+
+
+def test_orbit_keeps_its_distance_from_the_axis():
+    # off the line tanh(s) u the orbit is an equidistant curve, not a geodesic:
+    # sinh of twice the Poincare distance to the line is 2 |p_perp| / (1 - |p|^2)
+    u, a = Quaternion(0, 1, 0, 0), Quaternion(0.3, 0.1, 0.2, 0)
+
+    def spread(p):
+        along = (p * u.conj()).w
+        return 2.0 * (p - u * along).norm() / (1.0 - p.norm_sq())
+
+    values = [spread(symm_geodesic(u, a, t)) for t in (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0)]
+    assert max(values) - min(values) <= 1e-12 and min(values) > 0.5

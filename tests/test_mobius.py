@@ -8,7 +8,7 @@ import pytest
 
 from sliceball.errors import ConsistencyError, DomainError
 from sliceball.hmat import diag, exp_m, hyperbolic, i11, identity, sp11_inverse
-from sliceball.mobius import (MobiusMap, classical_apply, differential, f_au,
+from sliceball.mobius import (classical_apply, differential, f_au,
                               f_au_matrix, mobius_M, o11_classify, o11_compose,
                               orientation_sign, quotient_point, regular_apply)
 from sliceball.quat import I, ONE, Quaternion, make_rng, sample_ball, sample_sphere3, sgn
@@ -40,16 +40,6 @@ def test_regular_examples():
         p = sample_ball(rng, 0.8)
         h = hyperbolic(t)
         assert (regular_apply(h, p) - classical_apply(h, p)).norm() <= 1e-14
-
-
-def test_mobius_map_wrapper():
-    rng = make_rng(22)
-    a = mobius_M(sample_ball(rng, 0.5))
-    q = sample_ball(rng, 0.5)
-    assert MobiusMap(a)(q) == classical_apply(a, q)
-    assert MobiusMap(a, "regular")(q) == regular_apply(a, q)
-    with pytest.raises(DomainError):
-        MobiusMap(a, "affine")
 
 
 def test_mobius_M_examples():

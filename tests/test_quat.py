@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 from sliceball.errors import DomainError
 from sliceball.quat import (I, J, K, ONE, ZERO, Quaternion, in_ball,
                             is_imaginary_unit, is_unit, make_rng, normalized,
-                            qexp, quat_from_list, quat_to_list, sample, sgn,
-                            slice_split)
+                            qexp, quat_from_list, quat_to_list, sample_ball,
+                            sample_imaginary_unit, sample_real_interval,
+                            sample_sphere3, sgn, slice_split)
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 quats = st.builds(Quaternion, finite, finite, finite, finite)
@@ -90,11 +91,15 @@ def test_qexp_matches_euler():
     assert (qexp(ZERO) - ONE).norm() == 0.0
 
 
-@pytest.mark.parametrize("kind", ["ball", "sphere3", "imaginary-unit", "real-interval"])
+SAMPLERS = {"ball": sample_ball, "sphere3": sample_sphere3,
+            "imaginary-unit": sample_imaginary_unit, "real-interval": sample_real_interval}
+
+
+@pytest.mark.parametrize("kind", list(SAMPLERS))
 def test_sampling_invariants(kind):
     rng = make_rng(7)
     for _ in range(200):
-        q = sample(kind, rng)
+        q = SAMPLERS[kind](rng)
         if kind == "ball":
             assert in_ball(q)
         elif kind == "sphere3":
@@ -106,15 +111,11 @@ def test_sampling_invariants(kind):
 
 
 def test_sampling_deterministic():
-    a = [sample("ball", make_rng(3)) for _ in range(5)]
-    b = [sample("ball", make_rng(3)) for _ in range(5)]
-    assert a == b
-    assert sample("ball", make_rng(3)) != sample("ball", make_rng(4))
-
-
-def test_sampling_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        sample("torus", make_rng(0))
+    for sampler in SAMPLERS.values():
+        a = [sampler(make_rng(3)) for _ in range(5)]
+        b = [sampler(make_rng(3)) for _ in range(5)]
+        assert a == b
+        assert sampler(make_rng(3)) != sampler(make_rng(4))
 
 
 def test_normalized():

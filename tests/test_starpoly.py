@@ -5,8 +5,7 @@ from hypothesis import given, strategies as st
 
 from sliceball.errors import DomainError, PoleError
 from sliceball.quat import I, J, K, ONE, Quaternion, make_rng, sample_ball
-from sliceball.starpoly import (StarPoly, constant, poly_from_list,
-                                poly_to_list, quadratic_root_in_ball, reg_conj,
+from sliceball.starpoly import (StarPoly, constant, quadratic_root_in_ball, reg_conj,
                                 regularity_residual, star_inverse_eval,
                                 symmetrize)
 
@@ -220,11 +219,3 @@ def test_regularity_residual_step_underflow():
         regularity_residual(f.eval, Quaternion(0.5), h=0.0)
     with pytest.raises(DomainError):
         regularity_residual(f.eval, Quaternion(0.5), h=1e-30)
-
-
-def test_poly_json_roundtrip():
-    f = StarPoly([Quaternion(1, 2, 3, 4), I, ONE])
-    assert poly_from_list(poly_to_list(f)) == f
-    assert poly_to_list(f)[0] == [1.0, 2.0, 3.0, 4.0]
-    with pytest.raises(ValueError):
-        poly_from_list("nope")

@@ -114,3 +114,37 @@ def test_orbit_grid_oracle_needs_a_bracketed_crossing():
     # a point so near the boundary that its crossing lies beyond t = -5
     with pytest.raises(ConsistencyError):
         verify._orbit_grid_oracle(Quaternion(0.9999999, 1e-9))
+
+
+# NaN injections: a NaN anywhere in a check's residuals must fail it, never be
+# dropped by the reduction.
+
+_NAN_QUAT = Quaternion(math.nan, math.nan, math.nan, math.nan)
+
+
+@pytest.mark.parametrize("target, nan, names", [
+    ("quotient_point", _NAN_QUAT,
+     ["quotient-consistency", "quotient-well-defined", "equivariance-left",
+      "equivariance-right", "iso-from-translations", "quotient-root-oracle"]),
+    ("orbit_invariant", math.nan,
+     ["orbit-real-axis", "orbit-invariance", "orbit-grid-oracle", "orbit-axis-example"]),
+    ("slice_g", math.nan,
+     ["slice-positive-definite", "slice-conjugation-invariance", "iso-isometry",
+      "slice-hyperbolicity", "regular-pullback"]),
+    ("regularity_residual", math.nan, ["noncoincidence-nonreal"]),
+])
+def test_a_nan_fails_every_check_that_sees_it(monkeypatch, target, nan, names):
+    for name in names:
+        assert _run_named(name).passed, name
+    monkeypatch.setattr(verify, target, lambda *args, **kwargs: nan)
+    for name in names:
+        result = _run_named(name)
+        failing = math.inf if result.op == "<=" else -math.inf
+        assert not result.passed and result.value == failing, (name, result.value)
+
+
+@pytest.mark.parametrize("op, failing", [("<=", math.inf), (">=", -math.inf)])
+def test_a_check_that_yields_nothing_fails(op, failing):
+    empty = verify.CheckDef("empty", "orbits", lambda rng, trials: iter(()), 10, 1.0, op)
+    result = verify.run_check(empty, 1, 0)
+    assert not result.passed and result.value == failing
