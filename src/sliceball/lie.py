@@ -103,7 +103,7 @@ ISO_IDENTITY = IsoGElement(ONE, 1, 0.0, 1)
 
 def iso_g_act(e: IsoGElement, q: Quaternion) -> Quaternion:
     q = as_quat(q)
-    if q.norm() >= 1.0:
+    if not q.norm() < 1.0:  # also rejects NaN
         raise DomainError(f"isometries act on the open ball, |q| = {q.norm()!r}")
     if e.eps2 == -1:
         q = q.conj()
@@ -181,7 +181,7 @@ def orbit_invariant(q: Quaternion) -> float:
     the root tau in (-1, 1) carries the point onto the imaginary axis.
     """
     q = as_quat(q)
-    if q.norm() >= 1.0 - BALL_MARGIN:
+    if not q.norm() < 1.0 - BALL_MARGIN:  # also rejects NaN
         raise DomainError(f"orbit invariant needs an interior point, |q| = {q.norm()!r}")
     x, y0, _ = slice_split(q)
     if y0 == 0.0:

@@ -18,9 +18,15 @@ UNIT_TOL = 1e-9  # how far | |u| - 1 | may stray for a table direction u
 MetricFn = Callable[[Quaternion, Quaternion, Quaternion], float]
 
 
+def _ensure_in_ball(q: Quaternion) -> None:
+    if not q.norm() < 1.0:  # also rejects NaN
+        raise DomainError(f"the metrics are defined on the open ball, |q| = {q.norm()!r}")
+
+
 def poincare_g(q: Quaternion, alpha: Quaternion, beta: Quaternion) -> float:
     """Re(alpha conj(beta)) / (1 - |q|^2)^2."""
     q, alpha, beta = as_quat(q), as_quat(alpha), as_quat(beta)
+    _ensure_in_ball(q)
     den = 1.0 - q.norm_sq()
     return (alpha * beta.conj()).w / (den * den)
 
@@ -35,6 +41,7 @@ def slice_h(q: Quaternion, alpha: Quaternion, beta: Quaternion) -> Quaternion:
     (1-q^2)^-1 (alpha - q alpha q) conj(beta - q beta q) (1-conj(q)^2)^-1 / (1-|q|^2)^2.
     """
     q, alpha, beta = as_quat(q), as_quat(alpha), as_quat(beta)
+    _ensure_in_ball(q)
     left = (ONE - q * q).inverse()
     right = (ONE - q.conj() * q.conj()).inverse()
     den = 1.0 - q.norm_sq()
@@ -45,6 +52,7 @@ def slice_g(q: Quaternion, alpha: Quaternion, beta: Quaternion) -> float:
     """Real part of the Hermitian form:
     Re((alpha - q alpha q) conj(beta - q beta q)) / (|1-q^2|^2 (1-|q|^2)^2)."""
     q, alpha, beta = as_quat(q), as_quat(alpha), as_quat(beta)
+    _ensure_in_ball(q)
     num = (_twisted(q, alpha) * _twisted(q, beta).conj()).w
     den = (ONE - q * q).norm_sq() * (1.0 - q.norm_sq()) ** 2
     return num / den

@@ -13,7 +13,6 @@ import numpy as np
 from .errors import ConsistencyError, DomainError
 from .hmat import GROUP_TOL, QMat2, ensure_sp11, hyperbolic, i11, sp11_check
 from .quat import ONE, Quaternion, as_quat
-from .starpoly import linear_map, reg_conj, symmetrize
 
 # Default central-difference step: balances O(h^2) truncation against cancellation.
 FD_STEP = 1e-5
@@ -34,18 +33,26 @@ def classical_apply(a: QMat2, q: Quaternion) -> Quaternion:
 
 
 def regular_apply(a: QMat2, q: Quaternion) -> Quaternion:
-    """The regular Mobius transformation: star-inverse of the denominator line
-    star-multiplied with the numerator line, evaluated at q."""
+    """The regular Mobius transformation f^-* * g at q, for the denominator line
+    f(q) = q m12 + m22 and the numerator line g(q) = q m11 + m21.
+
+    The star-inverse is (f^s)^-1 f^c, so the map is f^s(q)^-1 (f^c * g)(q) with
+    f^s = f * f^c = q^2 m12 conj(m12) + q (m22 conj(m12) + m12 conj(m22)) + m22 conj(m22)
+    and f^c * g = q^2 conj(m12) m11 + q (conj(m22) m11 + conj(m12) m21) + conj(m22) m21.
+    Both are evaluated by Horner's rule in the order the star calculus uses, so
+    the result rounds exactly as the star-product form that the
+    regular-star-oracle check keeps.
+    """
     q = as_quat(q)
     if not q.norm() < 1.0:  # also rejects NaN
         raise DomainError(f"regular Mobius maps are defined on the ball, |q| = {q.norm()!r}")
-    den_line = linear_map(a.m12, a.m22)
-    num = reg_conj(den_line) * linear_map(a.m11, a.m21)
-    dval = symmetrize(den_line).eval(q)
-    if dval.norm() <= 1e-12 * max(1.0, den_line.max_coeff_norm() ** 2):
+    m11, m12, m21, m22 = a.m11, a.m12, a.m21, a.m22
+    c12, c22 = m12.conj(), m22.conj()
+    dval = q * (q * (m12 * c12) + (m22 * c12 + m12 * c22)) + m22 * c22
+    if dval.norm() <= 1e-12 * max(1.0, m22.norm(), m12.norm()) ** 2:
         raise ConsistencyError(
             "denominator symmetrization vanished inside the ball; entry convention or input broken")
-    return dval.inverse() * num.eval(q)
+    return dval.inverse() * (q * (q * (c12 * m11) + (c22 * m11 + c12 * m21)) + c22 * m21)
 
 
 def mobius_M(a: Quaternion) -> QMat2:

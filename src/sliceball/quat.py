@@ -41,49 +41,61 @@ class Quaternion:
         return hash((self.w, self.x, self.y, self.z))
 
     def __add__(self, other) -> "Quaternion":
+        if type(other) is Quaternion:
+            return _q(self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z)
+        if type(other) is float:
+            return _q(self.w + other, self.x, self.y, self.z)
         if isinstance(other, (int, float)):
             return Quaternion(self.w + other, self.x, self.y, self.z)
-        return Quaternion(self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Quaternion":
+        if type(other) is Quaternion:
+            return _q(self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z)
+        if type(other) is float:
+            return _q(self.w - other, self.x, self.y, self.z)
         if isinstance(other, (int, float)):
             return Quaternion(self.w - other, self.x, self.y, self.z)
-        return Quaternion(self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z)
+        return NotImplemented
 
     def __rsub__(self, other) -> "Quaternion":
         return (-self).__add__(other)
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
+        return _q(-self.w, -self.x, -self.y, -self.z)
 
     def __mul__(self, other) -> "Quaternion":
-        if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x * other, self.y * other, self.z * other)
-        pw, px, py, pz = self.w, self.x, self.y, self.z
-        qw, qx, qy, qz = other.w, other.x, other.y, other.z
-        return Quaternion(
-            pw * qw - px * qx - py * qy - pz * qz,
-            pw * qx + px * qw + py * qz - pz * qy,
-            pw * qy - px * qz + py * qw + pz * qx,
-            pw * qz + px * qy - py * qx + pz * qw,
-        )
+        if type(other) is Quaternion:
+            pw, px, py, pz = self.w, self.x, self.y, self.z
+            qw, qx, qy, qz = other.w, other.x, other.y, other.z
+            return _q(
+                pw * qw - px * qx - py * qy - pz * qz,
+                pw * qx + px * qw + py * qz - pz * qy,
+                pw * qy - px * qz + py * qw + pz * qx,
+                pw * qz + px * qy - py * qx + pz * qw,
+            )
+        return self.__rmul__(other)
 
     def __rmul__(self, other) -> "Quaternion":
         # Real scalars commute with everything.
+        if type(other) is float:
+            return _q(self.w * other, self.x * other, self.y * other, self.z * other)
         if isinstance(other, (int, float)):
             return Quaternion(self.w * other, self.x * other, self.y * other, self.z * other)
         return NotImplemented
 
     def __truediv__(self, other) -> "Quaternion":
         # Quaternion/quaternion division is ambiguous (left vs right); use inverse().
+        if type(other) is float:
+            return _q(self.w / other, self.x / other, self.y / other, self.z / other)
         if isinstance(other, (int, float)):
             return Quaternion(self.w / other, self.x / other, self.y / other, self.z / other)
         return NotImplemented
 
     def conj(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
+        return _q(self.w, -self.x, -self.y, -self.z)
 
     def norm_sq(self) -> float:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
@@ -98,19 +110,34 @@ class Quaternion:
         n2 = self.norm_sq()
         if n2 == 0.0:
             raise DomainError("inverse of the zero quaternion")
-        return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+        return _q(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
 
     def re(self) -> float:
         return self.w
 
     def im(self) -> "Quaternion":
-        return Quaternion(0.0, self.x, self.y, self.z)
+        return _q(0.0, self.x, self.y, self.z)
 
     def im_norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
     def is_finite(self) -> bool:
         return all(map(math.isfinite, (self.w, self.x, self.y, self.z)))
+
+
+_new = object.__new__
+
+
+def _q(w: float, x: float, y: float, z: float) -> Quaternion:
+    """Internal constructor for coordinates that are already Python floats, as
+    every slot of a Quaternion is: it skips the float() coercion of __init__,
+    which could not change them."""
+    q = _new(Quaternion)
+    q.w = w
+    q.x = x
+    q.y = y
+    q.z = z
+    return q
 
 
 ZERO = Quaternion(0.0, 0.0, 0.0, 0.0)
@@ -122,7 +149,7 @@ K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 def as_quat(v) -> Quaternion:
     """Coerce a real number into a quaternion; pass quaternions through."""
-    if isinstance(v, Quaternion):
+    if type(v) is Quaternion or isinstance(v, Quaternion):
         return v
     return Quaternion(float(v))
 

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import hmat, lie, mobius
-from .errors import ConsistencyError
+from .errors import ConsistencyError, DomainError
 from .hmat import (QMat2, Sp11Algebra, diag, exp_general, exp_m, hyperbolic,
                    i11, i_eps, identity, lie_bracket, off_diag, psi_embed,
                    rho, scalar, sp11_inverse, sp11_residual)
@@ -519,7 +519,11 @@ def check_iso_from_translations(rng, trials: int) -> Residuals:
         t = 2.0 * float(rng.random()) - 1.0
         eps = 1 if rng.random() < 0.5 else -1
         moved = diag(ONE, u) @ a @ (hyperbolic(t) @ i_eps(eps))
-        expected = iso_g_act(IsoGElement(u, eps, t, 1), quotient_point(a))
+        try:
+            expected = iso_g_act(IsoGElement(u, eps, t, 1), quotient_point(a))
+        except DomainError:  # a quotient point off the ball, or NaN, has no image
+            yield math.inf
+            return
         yield (quotient_point(moved) - expected).norm()
 
 
@@ -637,6 +641,19 @@ def check_quotient_root_oracle(rng, trials: int) -> Residuals:
         yield (quotient_point(a) - zeros[0]).norm()
 
 
+def check_regular_star_oracle(rng, trials: int) -> Residuals:
+    """The closed-form regular map against the star calculus: the symmetrization
+    of the denominator line, inverted, times the regular conjugate of that line
+    star-multiplied with the numerator line, all evaluated at q."""
+    for _ in range(trials):
+        a = _rand_sp11(rng, 1.2)
+        q = sample_ball(rng, 0.9)
+        den = linear_map(a.m12, a.m22)
+        star = (symmetrize(den).eval(q).inverse()
+                * (reg_conj(den) * linear_map(a.m11, a.m21)).eval(q))
+        yield (regular_apply(a, q) - star).norm()
+
+
 # ---------------------------------------------------------------------------
 # Registry and runner.
 
@@ -696,6 +713,7 @@ CHECKS: tuple[CheckDef, ...] = (
     CheckDef("orbit-axis-example", "orbits", check_orbit_axis_example, 50, 1e-12),
     # Appended last so that every earlier check keeps its (seed, index) stream.
     CheckDef("quotient-root-oracle", "mobius", check_quotient_root_oracle, 200, 1e-9),
+    CheckDef("regular-star-oracle", "mobius", check_regular_star_oracle, 200, 1e-12),
 )
 
 CHECK_NAMES = tuple(c.name for c in CHECKS)

@@ -244,7 +244,7 @@ def test_verify_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert "47/47 checks passed" in proc.stdout
+    assert "48/48 checks passed" in proc.stdout
     assert proc.stderr.splitlines()[-1] == "False"
 
 

@@ -255,3 +255,21 @@ def test_factorization_json_roundtrip():
         assert json.loads(json.dumps(fact_to_dict(fact))) == want
     with pytest.raises(TypeError):
         fact_to_dict(x)
+
+
+_NAN = Quaternion(math.nan, 0.0, 0.0, 0.0)
+
+
+def test_orbit_invariant_rejects_nan():
+    # a NaN point must not read as a point of the real axis
+    with pytest.raises(DomainError):
+        orbit_invariant(_NAN)
+    with pytest.raises(DomainError):
+        orbit_invariant(Quaternion(0.3, math.nan))
+
+
+def test_iso_g_act_rejects_nan():
+    with pytest.raises(DomainError):
+        iso_g_act(IsoGElement(ONE, 1, 0.5, 1), _NAN)
+    with pytest.raises(DomainError):
+        iso_g_act(IsoGElement(ONE, 1, 0.5, 1), Quaternion(1.0))

@@ -177,3 +177,12 @@ def test_orbit_keeps_its_distance_from_the_axis():
 
     values = [spread(symm_geodesic(u, a, t)) for t in (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0)]
     assert max(values) - min(values) <= 1e-12 and min(values) > 0.5
+
+
+@pytest.mark.parametrize("metric", [poincare_g, slice_g, slice_h])
+@pytest.mark.parametrize("q", [Quaternion(2.0), Quaternion(1.0), Quaternion(0.0, 0.6, 0.8),
+                               Quaternion(math.nan), Quaternion(0.1, math.inf)])
+def test_metrics_reject_points_off_the_ball(metric, q):
+    # poincare_g(2) once returned 0.111 and slice_g(1) divided by zero
+    with pytest.raises(DomainError):
+        metric(q, ONE, ONE)

@@ -2,16 +2,18 @@
 and the real-coset classification."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from sliceball.errors import ConsistencyError, DomainError
-from sliceball.hmat import diag, exp_m, hyperbolic, i11, identity, sp11_inverse
+from sliceball.hmat import QMat2, diag, exp_m, hyperbolic, i11, identity, sp11_inverse
 from sliceball.mobius import (classical_apply, differential, f_au,
                               f_au_matrix, mobius_M, o11_classify, o11_compose,
                               orientation_sign, quotient_point, regular_apply)
-from sliceball.quat import I, ONE, Quaternion, make_rng, sample_ball, sample_sphere3, sgn
+from sliceball.quat import I, ONE, ZERO, Quaternion, make_rng, sample_ball, sample_sphere3, sgn
+from sliceball.starpoly import linear_map, reg_conj, symmetrize
 
 
 def test_classical_examples():
@@ -40,6 +42,37 @@ def test_regular_examples():
         p = sample_ball(rng, 0.8)
         h = hyperbolic(t)
         assert (regular_apply(h, p) - classical_apply(h, p)).norm() <= 1e-14
+
+
+def _star_product_form(a, q):
+    """The regular map through the star calculus: (f^s)(q)^-1 (f^c * g)(q)."""
+    den = linear_map(a.m12, a.m22)
+    return (symmetrize(den).eval(q).inverse()
+            * (reg_conj(den) * linear_map(a.m11, a.m21)).eval(q))
+
+
+def _bits(q: Quaternion) -> bytes:
+    return struct.pack("<4d", q.w, q.x, q.y, q.z)
+
+
+def test_regular_apply_is_the_star_product_form_exactly():
+    rng = make_rng(31)
+    for k in range(500):
+        a = diag(sample_sphere3(rng), sample_sphere3(rng)) @ exp_m(sample_sphere3(rng),
+                                                                  3.0 * float(rng.random()))
+        if k % 5 == 0:  # entries with exact zeros, where signed zeros could differ
+            a = [identity(), hyperbolic(0.7), i11(), diag(sample_sphere3(rng), ONE),
+                 mobius_M(Quaternion(0.4))][k // 5 % 5]
+        q = sample_ball(rng, 0.95)
+        assert _bits(regular_apply(a, q)) == _bits(_star_product_form(a, q)), (k, a, q)
+
+
+def test_regular_apply_rejects_a_vanishing_denominator():
+    # f(q) = q - 1/2 has f^s(q) = (q - 1/2)^2, which vanishes at q = 1/2
+    with pytest.raises(ConsistencyError):
+        regular_apply(QMat2(ONE, ONE, ZERO, Quaternion(-0.5)), Quaternion(0.5))
+    with pytest.raises(ConsistencyError):
+        regular_apply(QMat2(ONE, ZERO, ZERO, ZERO), Quaternion(0.3, 0.1))
 
 
 def test_mobius_M_examples():

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -37,6 +38,21 @@ def test_scalar_mixing():
     assert 2 * q == q * 2 == q + q
     assert q / 2 == Quaternion(0.5, 1, 1.5, 2)
     assert 1 + q == q + 1 == Quaternion(2, 2, 3, 4)
+
+
+def _coords_are_floats(q: Quaternion) -> bool:
+    return all(type(c) is float for c in (q.w, q.x, q.y, q.z))
+
+
+def test_every_slot_holds_an_exact_float():
+    # the public constructor and the int and numpy scalar paths coerce, so the
+    # internal builder, which skips float(), only ever sees floats
+    q = Quaternion(1, np.float64(2), True, 4)
+    assert _coords_are_floats(q) and q == Quaternion(1.0, 2.0, 1.0, 4.0)
+    results = [q * np.float64(2), q * 3, 3 * q, np.float64(2) * q, q + 1, 1 + q,
+               q - 1, 1 - q, q / 2, q / np.float64(2), q * 0.5, q + 0.5,
+               -q, q.conj(), q.inverse(), q.im(), q * q, q + q, q - q]
+    assert all(_coords_are_floats(r) for r in results)
 
 
 @given(quats, quats)

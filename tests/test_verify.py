@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sliceball import hmat, lie, verify
+from sliceball import hmat, lie, mobius, verify
 from sliceball.errors import ConsistencyError
 from sliceball.quat import J, Quaternion
 
@@ -78,6 +78,13 @@ def test_exp_psi_oracle_catches_a_wrong_exponential(monkeypatch):
     monkeypatch.setattr(verify, "exp_general",
                         lambda x: hmat.exp_general(x) + hmat.identity() * 1e-8)
     assert not _run_named("exp-psi-oracle").passed
+
+
+def test_regular_star_oracle_catches_a_wrong_regular_map(monkeypatch):
+    assert _run_named("regular-star-oracle").passed
+    monkeypatch.setattr(verify, "regular_apply",
+                        lambda a, q: mobius.regular_apply(a, q) + Quaternion(0.0, 1e-11))
+    assert not _run_named("regular-star-oracle").passed
 
 
 _REAL_EIG = np.linalg.eig
