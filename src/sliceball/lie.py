@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError
 from .hmat import QMat2, column_scaled_norm, diag, ensure_sp11, exp_m, identity, scalar
-from .quat import (BALL_MARGIN, I, ONE, Quaternion, as_quat, quat_to_list, sgn,
-                   slice_split)
+from .quat import (BALL_MARGIN, I, ONE, Quaternion, as_quat, ensure_in_ball, quat_to_list,
+                   sgn, slice_split)
 
 # Recomposition tolerance for both factorizations, relative to A's column scales.
 DECOMP_TOL = 1e-9
@@ -103,8 +103,7 @@ ISO_IDENTITY = IsoGElement(ONE, 1, 0.0, 1)
 
 def iso_g_act(e: IsoGElement, q: Quaternion) -> Quaternion:
     q = as_quat(q)
-    if not q.norm() < 1.0:  # also rejects NaN
-        raise DomainError(f"isometries act on the open ball, |q| = {q.norm()!r}")
+    ensure_in_ball(q, "isometries act on the open ball")
     if e.eps2 == -1:
         q = q.conj()
     tt = math.tanh(e.t)
@@ -181,8 +180,7 @@ def orbit_invariant(q: Quaternion) -> float:
     the root tau in (-1, 1) carries the point onto the imaginary axis.
     """
     q = as_quat(q)
-    if not q.norm() < 1.0 - BALL_MARGIN:  # also rejects NaN
-        raise DomainError(f"orbit invariant needs an interior point, |q| = {q.norm()!r}")
+    ensure_in_ball(q, "orbit invariant needs an interior point", 1.0 - BALL_MARGIN)
     x, y0, _ = slice_split(q)
     if y0 == 0.0:
         return 0.0

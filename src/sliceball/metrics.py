@@ -11,22 +11,17 @@ import numpy as np
 
 from .errors import DomainError
 from .mobius import FD_STEP, differential
-from .quat import ONE, Quaternion, as_quat, make_rng
+from .quat import ONE, Quaternion, as_quat, ensure_in_ball, make_rng
 
 UNIT_TOL = 1e-9  # how far | |u| - 1 | may stray for a table direction u
 
 MetricFn = Callable[[Quaternion, Quaternion, Quaternion], float]
 
 
-def _ensure_in_ball(q: Quaternion) -> None:
-    if not q.norm() < 1.0:  # also rejects NaN
-        raise DomainError(f"the metrics are defined on the open ball, |q| = {q.norm()!r}")
-
-
 def poincare_g(q: Quaternion, alpha: Quaternion, beta: Quaternion) -> float:
     """Re(alpha conj(beta)) / (1 - |q|^2)^2."""
     q, alpha, beta = as_quat(q), as_quat(alpha), as_quat(beta)
-    _ensure_in_ball(q)
+    ensure_in_ball(q, "the metrics are defined on the open ball")
     den = 1.0 - q.norm_sq()
     return (alpha * beta.conj()).w / (den * den)
 
@@ -41,7 +36,7 @@ def slice_h(q: Quaternion, alpha: Quaternion, beta: Quaternion) -> Quaternion:
     (1-q^2)^-1 (alpha - q alpha q) conj(beta - q beta q) (1-conj(q)^2)^-1 / (1-|q|^2)^2.
     """
     q, alpha, beta = as_quat(q), as_quat(alpha), as_quat(beta)
-    _ensure_in_ball(q)
+    ensure_in_ball(q, "the metrics are defined on the open ball")
     left = (ONE - q * q).inverse()
     right = (ONE - q.conj() * q.conj()).inverse()
     den = 1.0 - q.norm_sq()
@@ -52,7 +47,7 @@ def slice_g(q: Quaternion, alpha: Quaternion, beta: Quaternion) -> float:
     """Real part of the Hermitian form:
     Re((alpha - q alpha q) conj(beta - q beta q)) / (|1-q^2|^2 (1-|q|^2)^2)."""
     q, alpha, beta = as_quat(q), as_quat(alpha), as_quat(beta)
-    _ensure_in_ball(q)
+    ensure_in_ball(q, "the metrics are defined on the open ball")
     num = (_twisted(q, alpha) * _twisted(q, beta).conj()).w
     den = (ONE - q * q).norm_sq() * (1.0 - q.norm_sq()) ** 2
     return num / den
@@ -67,7 +62,8 @@ def pullback_residual(fn: Callable[[Quaternion], Quaternion], metric: MetricFn,
                       q: Quaternion, rng, trials: int = 8, h: float = FD_STEP) -> float:
     """Max over sampled tangent pairs of
     |metric_q(alpha, beta) - metric_{fn(q)}(dfn alpha, dfn beta)|; NaN if any
-    difference is NaN or no pair was sampled."""
+    difference is NaN, no pair was sampled, or the metric rejects the image
+    fn(q) (a NaN, or a point off the ball)."""
     rng = make_rng(rng)
     q = as_quat(q)
     jac = differential(fn, q, h)
@@ -80,7 +76,11 @@ def pullback_residual(fn: Callable[[Quaternion], Quaternion], metric: MetricFn,
         beta = Quaternion(*bv)
         da = Quaternion(*(jac @ av))
         db = Quaternion(*(jac @ bv))
-        diffs.append(abs(metric(q, alpha, beta) - metric(image, da, db)))
+        try:
+            pulled = metric(image, da, db)
+        except DomainError:
+            return math.nan
+        diffs.append(abs(metric(q, alpha, beta) - pulled))
     return math.nan if any(map(math.isnan, diffs)) else max(diffs, default=math.nan)
 
 
@@ -111,7 +111,6 @@ def geodesic_table(u: Quaternion, t_min: float, t_max: float, steps: int,
     if not abs(u.norm() - 1.0) <= UNIT_TOL:  # also rejects NaN and infinity
         raise DomainError(f"orbit direction must be a unit quaternion, |u| = {u.norm()!r}")
     base = as_quat(a) if a is not None else Quaternion()
-    if not base.norm() < 1.0:  # also rejects NaN
-        raise DomainError(f"orbit base point must lie in the open ball, |a| = {base.norm()!r}")
+    ensure_in_ball(base, "orbit base point must lie in the open ball", name="a")
     ts = np.linspace(t_min, t_max, steps)
     return [(float(t), symm_geodesic(u, base, float(t))) for t in ts]

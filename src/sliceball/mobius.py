@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .hmat import GROUP_TOL, QMat2, ensure_sp11, hyperbolic, i11, sp11_check
-from .quat import ONE, Quaternion, as_quat
+from .quat import ONE, Quaternion, as_quat, ensure_in_ball
 
 # Default central-difference step: balances O(h^2) truncation against cancellation.
 FD_STEP = 1e-5
@@ -24,8 +24,7 @@ def classical_apply(a: QMat2, q: Quaternion) -> Quaternion:
     Composition is an anti-homomorphism: applying A then B equals applying A @ B.
     """
     q = as_quat(q)
-    if not q.norm() < 1.0:  # also rejects NaN
-        raise DomainError(f"classical Mobius maps blow up outside the ball, |q| = {q.norm()!r}")
+    ensure_in_ball(q, "classical Mobius maps blow up outside the ball")
     den = q * a.m12 + a.m22
     if den.norm() == 0.0:
         raise ConsistencyError("denominator vanished inside the ball; matrix is not in the group")
@@ -44,8 +43,7 @@ def regular_apply(a: QMat2, q: Quaternion) -> Quaternion:
     regular-star-oracle check keeps.
     """
     q = as_quat(q)
-    if not q.norm() < 1.0:  # also rejects NaN
-        raise DomainError(f"regular Mobius maps are defined on the ball, |q| = {q.norm()!r}")
+    ensure_in_ball(q, "regular Mobius maps are defined on the ball")
     m11, m12, m21, m22 = a.m11, a.m12, a.m21, a.m22
     c12, c22 = m12.conj(), m22.conj()
     dval = q * (q * (m12 * c12) + (m22 * c12 + m12 * c22)) + m22 * c22
@@ -58,8 +56,7 @@ def regular_apply(a: QMat2, q: Quaternion) -> Quaternion:
 def mobius_M(a: Quaternion) -> QMat2:
     """M(a) = [[1, -conj(a)], [-a, 1]] / sqrt(1 - |a|^2); inverse is M(-a)."""
     a = as_quat(a)
-    if not a.norm() < 1.0:  # also rejects NaN
-        raise DomainError(f"M(a) needs |a| < 1, got {a.norm()!r}")
+    ensure_in_ball(a, "M(a) needs a point of the open ball", name="a")
     s = 1.0 / math.sqrt(1.0 - a.norm_sq())
     return QMat2(ONE * s, a.conj() * -s, a * -s, ONE * s)
 

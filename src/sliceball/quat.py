@@ -43,10 +43,9 @@ class Quaternion:
     def __add__(self, other) -> "Quaternion":
         if type(other) is Quaternion:
             return _q(self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z)
-        if type(other) is float:
-            return _q(self.w + other, self.x, self.y, self.z)
         if isinstance(other, (int, float)):
-            return Quaternion(self.w + other, self.x, self.y, self.z)
+            s = float(other)
+            return _q(self.w + s, self.x, self.y, self.z)
         return NotImplemented
 
     __radd__ = __add__
@@ -54,10 +53,9 @@ class Quaternion:
     def __sub__(self, other) -> "Quaternion":
         if type(other) is Quaternion:
             return _q(self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z)
-        if type(other) is float:
-            return _q(self.w - other, self.x, self.y, self.z)
         if isinstance(other, (int, float)):
-            return Quaternion(self.w - other, self.x, self.y, self.z)
+            s = float(other)
+            return _q(self.w - s, self.x, self.y, self.z)
         return NotImplemented
 
     def __rsub__(self, other) -> "Quaternion":
@@ -80,18 +78,16 @@ class Quaternion:
 
     def __rmul__(self, other) -> "Quaternion":
         # Real scalars commute with everything.
-        if type(other) is float:
-            return _q(self.w * other, self.x * other, self.y * other, self.z * other)
         if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x * other, self.y * other, self.z * other)
+            s = float(other)
+            return _q(self.w * s, self.x * s, self.y * s, self.z * s)
         return NotImplemented
 
     def __truediv__(self, other) -> "Quaternion":
         # Quaternion/quaternion division is ambiguous (left vs right); use inverse().
-        if type(other) is float:
-            return _q(self.w / other, self.x / other, self.y / other, self.z / other)
         if isinstance(other, (int, float)):
-            return Quaternion(self.w / other, self.x / other, self.y / other, self.z / other)
+            s = float(other)
+            return _q(self.w / s, self.x / s, self.y / s, self.z / s)
         return NotImplemented
 
     def conj(self) -> "Quaternion":
@@ -193,6 +189,14 @@ def is_imaginary_unit(q: Quaternion, tol: float = MEMBER_TOL) -> bool:
 
 def in_ball(q: Quaternion, margin: float = BALL_MARGIN) -> bool:
     return q.norm() < 1.0 - margin
+
+
+def ensure_in_ball(q: Quaternion, what: str, bound: float = 1.0, name: str = "q") -> None:
+    """Raise DomainError("<what>, |<name>| = <norm>") unless |q| < bound; a NaN
+    point fails the comparison and is rejected too."""
+    r = q.norm()
+    if not r < bound:
+        raise DomainError(f"{what}, |{name}| = {r!r}")
 
 
 def normalized(q: Quaternion) -> Quaternion:

@@ -76,6 +76,10 @@ def test_pullback_residual_keeps_a_nan():
     # NaN on some tangent pairs only
     metric = lambda at, a, b: math.nan if a.w > 0.0 else slice_g(at, a, b)
     assert math.isnan(pullback_residual(lambda p: p, metric, q, rng))
+    # a map whose image the metric rejects (NaN, or off the ball) reads as NaN
+    for image in (Quaternion(math.nan), Quaternion(2.0)):
+        for metric in (poincare_g, slice_g):
+            assert math.isnan(pullback_residual(lambda p: p * 0.0 + image, metric, q, rng))
 
 
 def test_poincare_invariant_under_group():

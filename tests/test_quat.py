@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sliceball.errors import DomainError
-from sliceball.quat import (I, J, K, ONE, ZERO, Quaternion, in_ball,
-                            is_imaginary_unit, is_unit, make_rng, normalized,
+from sliceball.quat import (I, J, K, ONE, ZERO, Quaternion, ensure_in_ball,
+                            in_ball, is_imaginary_unit, is_unit, make_rng, normalized,
                             qexp, quat_from_list, quat_to_list, sample_ball,
                             sample_imaginary_unit, sample_real_interval,
                             sample_sphere3, sgn, slice_split)
@@ -138,6 +138,16 @@ def test_normalized():
     assert is_unit(normalized(Quaternion(1, 1, 1, 1)))
     with pytest.raises(DomainError):
         normalized(ZERO)
+
+
+def test_ensure_in_ball_rejects_the_boundary_and_nan():
+    ensure_in_ball(Quaternion(0.5), "unused")
+    with pytest.raises(DomainError, match=r"^maps need the ball, \|a\| = 1\.0$"):
+        ensure_in_ball(J, "maps need the ball", name="a")
+    with pytest.raises(DomainError, match="nan"):
+        ensure_in_ball(Quaternion(math.nan), "maps need the ball")
+    with pytest.raises(DomainError):
+        ensure_in_ball(Quaternion(0.5), "inside a smaller ball", bound=0.5)
 
 
 def test_json_roundtrip():

@@ -139,6 +139,12 @@ _NAN_QUAT = Quaternion(math.nan, math.nan, math.nan, math.nan)
      ["slice-positive-definite", "slice-conjugation-invariance", "iso-isometry",
       "slice-hyperbolicity", "regular-pullback"]),
     ("regularity_residual", math.nan, ["noncoincidence-nonreal"]),
+    ("classical_apply", _NAN_QUAT,
+     ["quotient-consistency", "mobius-antihom", "mobius-inverse-map", "coincidence-real",
+      "noncoincidence-nonreal", "poincare-invariance", "geodesic-reversal"]),
+    ("iso_g_act", _NAN_QUAT,
+     ["iso-isometry", "iso-ineffective-kernel", "iso-star-axiom", "iso-from-translations",
+      "orbit-invariance", "orbit-axis-example"]),
 ])
 def test_a_nan_fails_every_check_that_sees_it(monkeypatch, target, nan, names):
     for name in names:
