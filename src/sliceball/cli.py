@@ -160,6 +160,9 @@ def cmd_verify(args) -> int:
                   f"{r.op} tol={_fmt(r.tol)}  trials={r.trials}")
         done = sum(r.passed for r in results)
         print(f"{done}/{len(results)} checks passed")
+    for r in results:
+        if r.error is not None:
+            print(f"error in {r.name}: {r.error}", file=sys.stderr)
     total = sum(r.seconds for r in results)
     print(f"wall time: {total:.3f} s", file=sys.stderr)
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
@@ -169,8 +172,6 @@ def cmd_verify(args) -> int:
 # table
 
 def cmd_table(args) -> int:
-    if args.steps < 2:
-        raise ValueError(f"need at least 2 steps, got {args.steps}")
     u = quat_from_list(json.loads(args.u))
     base = quat_from_list(json.loads(args.a)) if args.kind == "orbit" else Quaternion()
     rows = geodesic_table(u, args.t_min, args.t_max, args.steps, a=base)

@@ -79,9 +79,6 @@ class QMat2:
     def max_norm(self) -> float:
         return max(self.m11.norm(), self.m12.norm(), self.m21.norm(), self.m22.norm())
 
-    def is_finite(self) -> bool:
-        return all(m.is_finite() for m in self.entries())
-
 
 def identity() -> QMat2:
     return QMat2(ONE, ZERO, ZERO, ONE)
@@ -131,11 +128,11 @@ def sp11_residual(a: QMat2) -> float:
     return _sp11_defect(a).max_norm()
 
 
-def sp11_check(a: QMat2, tol: float = GROUP_TOL) -> tuple[bool, float]:
+def sp11_check(a: QMat2) -> tuple[bool, float]:
     """Membership under the column-scaled rule of ensure_sp11, paired with the
     absolute residual sp11_residual(a)."""
     d = _sp11_defect(a)
-    return column_scaled_norm(d, a) <= tol, d.max_norm()
+    return column_scaled_norm(d, a) <= GROUP_TOL, d.max_norm()
 
 
 def column_scaled_norm(d: QMat2, a: QMat2) -> float:
@@ -154,22 +151,23 @@ def column_scaled_norm(d: QMat2, a: QMat2) -> float:
     return math.nan if any(map(math.isnan, ratios)) else max(ratios)
 
 
-def ensure_sp11(a: QMat2, tol: float = GROUP_TOL) -> QMat2:
+def ensure_sp11(a: QMat2) -> QMat2:
     """Gate on group membership, relative to the scale of A's columns.
 
     The defect is quadratic in the entries, so roundoff in a member of orbit
     distance r grows like cosh(2r); entry (i, j) of the defect may reach
-    tol * s_i * s_j (see column_scaled_norm). A NaN or an overflow fails.
+    GROUP_TOL * s_i * s_j (see column_scaled_norm). A NaN or an overflow fails.
     """
     r = column_scaled_norm(_sp11_defect(a), a)
-    if not r <= tol:
-        raise DomainError(f"matrix is not in the group (column-scaled residual {r!r} > {tol!r})")
+    if not r <= GROUP_TOL:
+        raise DomainError(
+            f"matrix is not in the group (column-scaled residual {r!r} > {GROUP_TOL!r})")
     return a
 
 
-def sp11_inverse(a: QMat2, tol: float = GROUP_TOL) -> QMat2:
+def sp11_inverse(a: QMat2) -> QMat2:
     """Group inverse via the defining identity: A^-1 = diag(1,-1) adjoint(A) diag(1,-1)."""
-    ensure_sp11(a, tol)
+    ensure_sp11(a)
     k = i11()
     return k @ a.adjoint() @ k
 
@@ -201,25 +199,6 @@ class Sp11Algebra:
     def as_matrix(self) -> QMat2:
         return QMat2(self.p, self.a.conj(), self.a, self.q)
 
-    def __add__(self, other: "Sp11Algebra") -> "Sp11Algebra":
-        return Sp11Algebra(self.p + other.p, self.q + other.q, self.a + other.a)
-
-    def __sub__(self, other: "Sp11Algebra") -> "Sp11Algebra":
-        return Sp11Algebra(self.p - other.p, self.q - other.q, self.a - other.a)
-
-    def __neg__(self) -> "Sp11Algebra":
-        return Sp11Algebra(-self.p, -self.q, -self.a)
-
-    def __mul__(self, t) -> "Sp11Algebra":
-        if isinstance(t, (int, float)):
-            return Sp11Algebra(self.p * t, self.q * t, self.a * t)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def max_norm(self) -> float:
-        return self.as_matrix().max_norm()
-
 
 def off_diag(a) -> Sp11Algebra:
     """The off-diagonal algebra element [[0, conj(a)], [a, 0]]."""
@@ -236,9 +215,9 @@ def algebra_residual(x: QMat2) -> float:
     return (x.adjoint() @ k + k @ x).max_norm()
 
 
-def algebra_check(x: QMat2, tol: float = ALGEBRA_TOL) -> tuple[bool, float]:
+def algebra_check(x: QMat2) -> tuple[bool, float]:
     r = algebra_residual(x)
-    return r <= tol, r
+    return r <= ALGEBRA_TOL, r
 
 
 def cartan_split(x: Sp11Algebra) -> tuple[Sp11Algebra, Sp11Algebra]:
@@ -342,9 +321,9 @@ def hat_sp11_residual(m: np.ndarray) -> float:
     return float(max(r1, r2))
 
 
-def hat_sp11_check(m: np.ndarray, tol: float = GROUP_TOL) -> tuple[bool, float]:
+def hat_sp11_check(m: np.ndarray) -> tuple[bool, float]:
     r = hat_sp11_residual(m)
-    return r <= tol, r
+    return r <= GROUP_TOL, r
 
 
 # ---------------------------------------------------------------------------

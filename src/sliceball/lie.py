@@ -16,6 +16,8 @@ from .quat import (BALL_MARGIN, I, ONE, Quaternion, as_quat, ensure_in_ball, qua
 DECOMP_TOL = 1e-9
 # Commutation tolerance defining the centralizer predicates.
 CENTRALIZER_TOL = 1e-12
+# Entry tolerance of the closed-form membership predicates.
+MEMBER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,16 +46,17 @@ def slice_compose(f: SliceFactorization) -> QMat2:
     return diag(f.u, ONE) @ exp_m(f.x) @ scalar(f.v)
 
 
-def _ensure_recomposes(recomposed: QMat2, a: QMat2, tol: float) -> None:
+def _ensure_recomposes(recomposed: QMat2, a: QMat2) -> None:
     """Consistency gate shared by both factorizations, scaled by A's columns
     like the group gate in front of them."""
     off = column_scaled_norm(recomposed - a, a)
-    if not off <= tol:
+    if not off <= DECOMP_TOL:
         raise ConsistencyError(
-            f"factors recompose to within a column-scaled {off!r} of the input (> {tol!r})")
+            f"factors recompose to within a column-scaled {off!r} of the input "
+            f"(> {DECOMP_TOL!r})")
 
 
-def symm_decompose(a: QMat2, tol: float = DECOMP_TOL) -> SymmFactorization:
+def symm_decompose(a: QMat2) -> SymmFactorization:
     """Invert the diffeomorphism (u, v, X) -> diag(u, v) exp(X).
 
     A = [[cosh(r) u, sinh(r) u conj(w)], [sinh(r) v w, cosh(r) v]] gives, in closed
@@ -62,11 +65,11 @@ def symm_decompose(a: QMat2, tol: float = DECOMP_TOL) -> SymmFactorization:
     ensure_sp11(a)
     x = sgn(a.m22.inverse() * a.m21) * math.asinh(a.m21.norm())
     fact = SymmFactorization(sgn(a.m11), sgn(a.m22), x)
-    _ensure_recomposes(symm_compose(fact), a, tol)
+    _ensure_recomposes(symm_compose(fact), a)
     return fact
 
 
-def slice_decompose(a: QMat2, tol: float = DECOMP_TOL) -> SliceFactorization:
+def slice_decompose(a: QMat2) -> SliceFactorization:
     """Invert the diffeomorphism (u, X, v) -> diag(u, 1) exp(X) (v I2).
 
     A = [[cosh(r) u v, sinh(r) u conj(w) v], [sinh(r) w v, cosh(r) v]] gives, in
@@ -77,7 +80,7 @@ def slice_decompose(a: QMat2, tol: float = DECOMP_TOL) -> SliceFactorization:
     m22_inv = a.m22.inverse()
     x = sgn(a.m21 * m22_inv) * math.asinh(a.m21.norm())
     fact = SliceFactorization(a.m11 * m22_inv, x, sgn(a.m22))
-    _ensure_recomposes(slice_compose(fact), a, tol)
+    _ensure_recomposes(slice_compose(fact), a)
     return fact
 
 
@@ -144,29 +147,28 @@ def centralizer_residual(a: QMat2, subgroup: str) -> float:
     return max(((a @ p) - (p @ a)).max_norm() for p in _PROBES[subgroup]())
 
 
-def centralizer_check(a: QMat2, subgroup: str,
-                      tol: float = CENTRALIZER_TOL) -> tuple[bool, float]:
+def centralizer_check(a: QMat2, subgroup: str) -> tuple[bool, float]:
     r = centralizer_residual(a, subgroup)
-    return r <= tol, r
+    return r <= CENTRALIZER_TOL, r
 
 
 # Closed-form membership predicates matching the centralizer computations.
 
-def is_sign_times_unit_diag(a: QMat2, tol: float = 1e-9) -> bool:
+def is_sign_times_unit_diag(a: QMat2) -> bool:
     """diag(eps, u) with eps = +-1 and u a unit quaternion."""
-    if a.m12.norm() > tol or a.m21.norm() > tol:
+    if a.m12.norm() > MEMBER_TOL or a.m21.norm() > MEMBER_TOL:
         return False
-    if a.m11.im_norm() > tol or abs(abs(a.m11.w) - 1.0) > tol:
+    if a.m11.im_norm() > MEMBER_TOL or abs(abs(a.m11.w) - 1.0) > MEMBER_TOL:
         return False
-    return abs(a.m22.norm() - 1.0) <= tol
+    return abs(a.m22.norm() - 1.0) <= MEMBER_TOL
 
 
-def is_real_matrix(a: QMat2, tol: float = 1e-9) -> bool:
-    return all(m.im_norm() <= tol for m in a.entries())
+def is_real_matrix(a: QMat2) -> bool:
+    return all(m.im_norm() <= MEMBER_TOL for m in a.entries())
 
 
-def is_plus_minus_identity(a: QMat2, tol: float = 1e-9) -> bool:
-    return min((a - identity()).max_norm(), (a + identity()).max_norm()) <= tol
+def is_plus_minus_identity(a: QMat2) -> bool:
+    return min((a - identity()).max_norm(), (a + identity()).max_norm()) <= MEMBER_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +201,6 @@ def orbit_invariant(q: Quaternion) -> float:
 # JSON wire format for factorizations.
 
 def fact_to_dict(f) -> dict:
-    if isinstance(f, SymmFactorization):
-        return {"u": quat_to_list(f.u), "v": quat_to_list(f.v), "X": quat_to_list(f.x)}
-    if isinstance(f, SliceFactorization):
+    if isinstance(f, (SymmFactorization, SliceFactorization)):
         return {"u": quat_to_list(f.u), "v": quat_to_list(f.v), "X": quat_to_list(f.x)}
     raise TypeError(f"not a factorization: {f!r}")

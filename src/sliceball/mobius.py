@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .hmat import GROUP_TOL, QMat2, ensure_sp11, hyperbolic, i11, sp11_check
+from .hmat import QMat2, ensure_sp11, hyperbolic, i11, sp11_check
 from .quat import ONE, Quaternion, as_quat, ensure_in_ball
 
 # Default central-difference step: balances O(h^2) truncation against cancellation.
@@ -75,13 +75,13 @@ def f_au_matrix(a: float, u: Quaternion) -> QMat2:
     return mobius_M(a) @ QMat2(u, 0.0, 0.0, 1.0)
 
 
-def quotient_point(a: QMat2, tol: float = GROUP_TOL) -> Quaternion:
+def quotient_point(a: QMat2) -> Quaternion:
     """The double-coset invariant of a group matrix: the unique ball point sent
     to 0 by the regular transformation of the inverse matrix.
 
     Closed form m21 m22^-1: for A = diag(u, 1) exp(X) v this is tanh|X| sgn(X).
     """
-    ensure_sp11(a, tol)
+    ensure_sp11(a)
     return a.m21 * a.m22.inverse()
 
 
@@ -105,10 +105,9 @@ def differential(fn: Callable[[Quaternion], Quaternion], q: Quaternion,
     return jac
 
 
-def orientation_sign(fn: Callable[[Quaternion], Quaternion], q: Quaternion,
-                     h: float = FD_STEP) -> float:
+def orientation_sign(fn: Callable[[Quaternion], Quaternion], q: Quaternion) -> float:
     """Sign of the Jacobian determinant at q."""
-    return float(np.sign(np.linalg.det(differential(fn, q, h))))
+    return float(np.sign(np.linalg.det(differential(fn, q))))
 
 
 class O11Parts(NamedTuple):
@@ -117,12 +116,12 @@ class O11Parts(NamedTuple):
     t: float
 
 
-def o11_classify(a: QMat2, tol: float = GROUP_TOL) -> O11Parts:
+def o11_classify(a: QMat2) -> O11Parts:
     """Factor a real group matrix as eps * H(t) * r with r in {identity, diag(1,-1)}."""
     for m in a.entries():
         if m.im_norm() > 1e-12:
             raise DomainError("matrix has non-real entries")
-    if not sp11_check(a, tol)[0]:
+    if not sp11_check(a)[0]:
         raise DomainError("real matrix does not preserve the signature-(1,1) form")
     a11, _, a21, a22 = (m.w for m in a.entries())
     # eps * H(t) has a11 and a22 of one sign, and diag(1, -1) on the right flips

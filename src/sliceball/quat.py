@@ -117,9 +117,6 @@ class Quaternion:
     def im_norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
-    def is_finite(self) -> bool:
-        return all(map(math.isfinite, (self.w, self.x, self.y, self.z)))
-
 
 _new = object.__new__
 

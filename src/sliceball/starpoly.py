@@ -141,11 +141,11 @@ class RootReport:
     points: list[Quaternion] = field(default_factory=list)
     spheres: list[tuple[float, float]] = field(default_factory=list)
 
-    def points_in_ball(self, margin: float = BALL_MARGIN) -> list[Quaternion]:
-        return [p for p in self.points if p.norm() < 1.0 - margin]
+    def points_in_ball(self) -> list[Quaternion]:
+        return [p for p in self.points if p.norm() < 1.0 - BALL_MARGIN]
 
-    def spheres_in_ball(self, margin: float = BALL_MARGIN) -> list[tuple[float, float]]:
-        return [(x, y) for (x, y) in self.spheres if math.hypot(x, y) < 1.0 - margin]
+    def spheres_in_ball(self) -> list[tuple[float, float]]:
+        return [(x, y) for (x, y) in self.spheres if math.hypot(x, y) < 1.0 - BALL_MARGIN]
 
     def any_in_closed_ball(self) -> bool:
         return (any(p.norm() <= 1.0 for p in self.points)
@@ -205,13 +205,13 @@ def _polish_conjugate_root(asc: list[float], x: float, y: float) -> tuple[float,
 
 
 def _polish_sphere(a0: Quaternion, a1: Quaternion, a2: Quaternion,
-                   x: float, y: float, iters: int = 6) -> tuple[float, float]:
+                   x: float, y: float) -> tuple[float, float]:
     """Sharpen sphere parameters by Gauss-Newton on the restriction coefficients.
 
     A zero sphere solves C(x, y) = D(x, y) = 0; the quartic's double roots only
     locate it to sqrt(machine-eps) without this step.
     """
-    for _ in range(iters):
+    for _ in range(6):
         c = (x * x - y * y) * a2 + x * a1 + a0
         d = (2.0 * x * y) * a2 + y * a1
         dc_dx = 2.0 * x * a2 + a1
@@ -231,7 +231,7 @@ def _polish_sphere(a0: Quaternion, a1: Quaternion, a2: Quaternion,
     return x, abs(y)
 
 
-def _polish_point(p: StarPoly, q: Quaternion, iters: int = 8) -> Quaternion:
+def _polish_point(p: StarPoly, q: Quaternion) -> Quaternion:
     """Newton-polish an isolated zero of a degree <= 2 polynomial in all four
     real coordinates, using the exact directional derivative
     dP_q(e) = e a1 + (qe + eq) a2.
@@ -244,7 +244,7 @@ def _polish_point(p: StarPoly, q: Quaternion, iters: int = 8) -> Quaternion:
     a1, a2 = p.coeff(1), p.coeff(2)
     basis = (Quaternion(1.0), Quaternion(0, 1.0, 0, 0),
              Quaternion(0, 0, 1.0, 0), Quaternion(0, 0, 0, 1.0))
-    for _ in range(iters):
+    for _ in range(8):
         val = p.eval(q)
         if val.norm() == 0.0:
             return q
@@ -263,14 +263,14 @@ def _polish_point(p: StarPoly, q: Quaternion, iters: int = 8) -> Quaternion:
     return q
 
 
-def _polish_real_root(f: StarPoly, x: float, iters: int = 8) -> float:
+def _polish_real_root(f: StarPoly, x: float) -> float:
     """Sharpen a real zero of f by damped Gauss-Newton on |f(x)|^2.
 
     Real zeros arrive from double roots of the symmetrization and carry
     sqrt(machine-eps) noise without this step.
     """
     deriv = StarPoly([f.coeff(n + 1) * float(n + 1) for n in range(max(f.degree, 0))])
-    for _ in range(iters):
+    for _ in range(8):
         val = f.eval(Quaternion(x))
         dv = deriv.eval(Quaternion(x))
         d2 = dv.norm_sq()

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from sliceball import verify
 from sliceball.cli import main
 from sliceball.hmat import diag, exp_m, hyperbolic, i11, identity, mat_to_list
 from sliceball.quat import I, Quaternion, quat_to_list
@@ -171,6 +172,18 @@ def test_verify_reports_are_byte_identical(capsys, monkeypatch):
     assert out1 == out2
     rows = json.loads(out1)
     assert all(r["pass"] for r in rows)
+
+
+def test_verify_reports_a_check_that_raised(capsys, monkeypatch):
+    # a NaN orbit has no axis crossing: the grid oracle raises, the run goes on
+    nan = Quaternion(math.nan, math.nan, math.nan, math.nan)
+    monkeypatch.setattr(verify, "iso_g_act", lambda *args, **kwargs: nan)
+    code, out, err = run_cli(capsys, monkeypatch, ["verify", "--suite", "orbits"])
+    assert code == 1
+    assert any(line.startswith("FAIL  orbit-grid-oracle ") for line in out.splitlines())
+    assert "checks passed" in out
+    assert "error in orbit-grid-oracle: ConsistencyError: no axis crossing" in err
+    assert "error" not in out
 
 
 def test_verify_csv_format(capsys, monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sliceball import hmat, lie, mobius, verify
-from sliceball.errors import ConsistencyError
+from sliceball.errors import ConsistencyError, DomainError, PoleError
 from sliceball.quat import J, Quaternion
 
 
@@ -144,7 +144,7 @@ _NAN_QUAT = Quaternion(math.nan, math.nan, math.nan, math.nan)
       "noncoincidence-nonreal", "poincare-invariance", "geodesic-reversal"]),
     ("iso_g_act", _NAN_QUAT,
      ["iso-isometry", "iso-ineffective-kernel", "iso-star-axiom", "iso-from-translations",
-      "orbit-invariance", "orbit-axis-example"]),
+      "orbit-invariance", "orbit-grid-oracle", "orbit-axis-example"]),
 ])
 def test_a_nan_fails_every_check_that_sees_it(monkeypatch, target, nan, names):
     for name in names:
@@ -154,6 +154,50 @@ def test_a_nan_fails_every_check_that_sees_it(monkeypatch, target, nan, names):
         result = _run_named(name)
         failing = math.inf if result.op == "<=" else -math.inf
         assert not result.passed and result.value == failing, (name, result.value)
+
+
+# Exceptions: a numerical failure inside a check fails that check only.
+
+def _raise_after_a_pass(exc):
+    def fn(rng, trials):
+        yield 0.0
+        raise exc
+    return fn
+
+
+@pytest.mark.parametrize("exc", [DomainError("off the ball"),
+                                 np.linalg.LinAlgError("Singular matrix"),
+                                 ConsistencyError("no axis crossing"),
+                                 PoleError("at a pole"), ZeroDivisionError("float division")])
+@pytest.mark.parametrize("op, failing", [("<=", math.inf), (">=", -math.inf)])
+def test_a_check_that_raises_fails_with_its_message(exc, op, failing):
+    check = verify.CheckDef("raises", "orbits", _raise_after_a_pass(exc), 10, 1.0, op)
+    result = verify.run_check(check, 1, 0)
+    assert not result.passed and result.value == failing
+    assert result.error == f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("exc", [TypeError("bad call"), AttributeError("no such field")])
+def test_a_programming_error_in_a_check_propagates(exc):
+    check = verify.CheckDef("broken", "orbits", _raise_after_a_pass(exc), 10, 1.0)
+    with pytest.raises(type(exc)):
+        verify.run_check(check, 1, 0)
+
+
+def test_a_nan_action_reports_every_check(monkeypatch):
+    # once stopped the run: the orbit-grid bisection finds no crossing of a NaN orbit
+    monkeypatch.setattr(verify, "iso_g_act", lambda *args, **kwargs: _NAN_QUAT)
+    results = verify.run_checks("all", 1)
+    assert len(results) == len(verify.CHECKS) == 48
+    failed = {r.name for r in results if not r.passed}
+    assert failed == {"iso-isometry", "iso-orientation", "iso-ineffective-kernel",
+                      "iso-star-axiom", "iso-from-translations", "orbit-invariance",
+                      "orbit-grid-oracle", "orbit-axis-example"}
+    errors = {r.name: r.error.split(":")[0] for r in results if r.error is not None}
+    assert errors == {"iso-isometry": "DomainError", "orbit-invariance": "DomainError",
+                      "orbit-grid-oracle": "ConsistencyError",
+                      "orbit-axis-example": "DomainError"}
+    assert all(r.value == math.inf for r in results if r.error is not None)
 
 
 @pytest.mark.parametrize("op, failing", [("<=", math.inf), (">=", -math.inf)])
