@@ -19,7 +19,7 @@ from .lie import (centralizer_check, CENTRALIZER_SUBGROUPS, fact_to_dict,
                   slice_compose, slice_decompose, symm_compose, symm_decompose)
 from .metrics import geodesic_table
 from .mobius import classical_apply, o11_classify, regular_apply
-from .quat import Quaternion, quat_from_list, quat_to_list
+from .quat import Quaternion, ensure_in_ball, quat_from_list, quat_to_list
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -31,12 +31,13 @@ def _fmt(v: float) -> str:
 
 
 def _read_input(args) -> object:
-    text = None
-    if getattr(args, "file", None):
+    if not getattr(args, "file", None):
+        return json.loads(sys.stdin.read())
+    try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    else:
-        text = sys.stdin.read()
+    except OSError as exc:  # a missing or unreadable file is an input error
+        raise ValueError(str(exc)) from exc
     return json.loads(text)
 
 
@@ -98,6 +99,8 @@ def cmd_mobius(args) -> int:
     point = quat_from_list(data["point"])
     ensure_sp11(mat)
     image = (classical_apply if args.kind == "classical" else regular_apply)(mat, point)
+    # Far along the group the image can round onto the boundary sphere.
+    ensure_in_ball(image, "the image is not in the open ball", name="image")
     _emit({"point": quat_to_list(image)}, args.format,
           [" ".join(_fmt(v) for v in quat_to_list(image))])
     return EXIT_OK

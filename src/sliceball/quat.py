@@ -211,9 +211,11 @@ def quat_to_list(q: Quaternion) -> list[float]:
 
 
 def quat_from_list(data) -> Quaternion:
-    if not isinstance(data, (list, tuple)) or len(data) != 4:
-        raise ValueError(f"expected a [w, x, y, z] array, got {data!r}")
-    return Quaternion(*(float(v) for v in data))
+    """Read [w, x, y, z]; every coordinate must be a JSON number (not a string or a bool)."""
+    if (not isinstance(data, (list, tuple)) or len(data) != 4
+            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in data)):
+        raise ValueError(f"expected a [w, x, y, z] array of numbers, got {data!r}")
+    return Quaternion(*data)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, PoleError
+from .hmat import QMat2, psi_embed
 from .quat import (BALL_MARGIN, ONE, ZERO, Quaternion, as_quat,
                    is_imaginary_unit, slice_split)
 
@@ -78,9 +79,6 @@ class StarPoly:
             acc = q * acc + c
         return acc
 
-    def max_coeff_norm(self) -> float:
-        return max((c.norm() for c in self.coeffs), default=0.0)
-
 
 def reg_conj(f: StarPoly) -> StarPoly:
     """Regular conjugate: conjugate every coefficient."""
@@ -116,22 +114,10 @@ def constant(c) -> StarPoly:
 # ---------------------------------------------------------------------------
 # Root finding for degree <= 2 polynomials.
 
-# Acceptance threshold for a unit-imaginary candidate I: require |I^2 + 1| <= 1e-8,
-# absorbing the root-extraction noise of the real quartic.
-_UNIT_IMAG_TOL = 1e-8
-# Candidates failing that gate by less than this are noise-limited (the gate
-# carries eps/y^2 noise for small slice heights y): retried via Newton polish.
-_UNIT_IMAG_RETRY = 1e-2
-# Relative threshold under which the sphere coefficients C, D count as zero.
-_SPHERE_COEFF_TOL = 1e-7
-# Conjugacy classes of the symmetrization closer than this (relative) merge.
-_CLASS_MERGE_TOL = 1e-6
-# Below this the class height is indistinguishable from roundoff in the roots.
-_HEIGHT_FLOOR = 1e-12
-# Classes this close to the real axis may be a double real root split by noise.
-_REAL_SPLIT_TOL = 1e-6
-# A candidate counts as a zero when its evaluation residual is below this (relative).
-_ACCEPT_TOL = 1e-8
+# Imaginary parts of the monic coefficients below this (relative) count as zero.
+_SPHERE_TOL = 1e-7
+# Zeros closer than this (relative to their norm) are one zero found more than once.
+_MERGE_TOL = 1e-6
 
 
 @dataclass
@@ -152,219 +138,50 @@ class RootReport:
                 or any(math.hypot(x, y) <= 1.0 for (x, y) in self.spheres))
 
 
-def _real_coeffs(f: StarPoly) -> list[float]:
-    return [c.w for c in f.coeffs]
-
-
-def _conjugacy_classes(roots: np.ndarray) -> list[tuple[float, float]]:
-    """Collapse the roots of a real polynomial into (x, y >= 0) conjugacy classes.
-
-    The merge tolerance is relative to each class, so a spurious huge root from
-    a near-degenerate leading coefficient cannot swallow distinct small classes.
-    """
-    classes: list[tuple[float, float]] = []
-    for r in roots:
-        x, y = float(r.real), abs(float(r.imag))
-        for (cx, cy) in classes:
-            tol = _CLASS_MERGE_TOL * (1.0 + math.hypot(cx, cy))
-            if abs(cx - x) <= tol and abs(cy - y) <= tol:
-                break
-        else:
-            classes.append((x, y))
-    return classes
-
-
-def _horner_complex(asc: list[float], z: complex) -> complex:
-    acc = 0j
-    for c in reversed(asc):
-        acc = acc * z + c
-    return acc
-
-
-def _polish_conjugate_root(asc: list[float], x: float, y: float) -> tuple[float, float]:
-    """Newton-polish a conjugate root pair x +- yi of a real polynomial.
-
-    Clustered pairs (small y) leave the companion-matrix roots with enough noise
-    to spill past the unit-imaginary gate downstream; a couple of Newton steps
-    on the quartic removes it.  Keeps the seed if Newton does not improve it.
-    """
-    deriv = [k * asc[k] for k in range(1, len(asc))]
-    z = best = complex(x, y)
-    best_val = abs(_horner_complex(asc, z))
-    for _ in range(12):
-        df = _horner_complex(deriv, z)
-        if df == 0.0:
-            break
-        z = z - _horner_complex(asc, z) / df
-        val = abs(_horner_complex(asc, z))
-        if val < best_val:
-            best, best_val = z, val
-        if val == 0.0:
-            break
-    return best.real, abs(best.imag)
-
-
-def _polish_sphere(a0: Quaternion, a1: Quaternion, a2: Quaternion,
-                   x: float, y: float) -> tuple[float, float]:
-    """Sharpen sphere parameters by Gauss-Newton on the restriction coefficients.
-
-    A zero sphere solves C(x, y) = D(x, y) = 0; the quartic's double roots only
-    locate it to sqrt(machine-eps) without this step.
-    """
-    for _ in range(6):
-        c = (x * x - y * y) * a2 + x * a1 + a0
-        d = (2.0 * x * y) * a2 + y * a1
-        dc_dx = 2.0 * x * a2 + a1
-        dc_dy = -2.0 * y * a2
-        dd_dx = 2.0 * y * a2
-        dd_dy = 2.0 * x * a2 + a1
-        res = np.array([c.w, c.x, c.y, c.z, d.w, d.x, d.y, d.z])
-        jac = np.array([
-            [dc_dx.w, dc_dy.w], [dc_dx.x, dc_dy.x], [dc_dx.y, dc_dy.y], [dc_dx.z, dc_dy.z],
-            [dd_dx.w, dd_dy.w], [dd_dx.x, dd_dy.x], [dd_dx.y, dd_dy.y], [dd_dx.z, dd_dy.z],
-        ])
-        step, *_ = np.linalg.lstsq(jac, res, rcond=None)
-        x -= float(step[0])
-        y -= float(step[1])
-        if float(np.abs(step).max()) <= 1e-16 * max(1.0, abs(x), abs(y)):
-            break
-    return x, abs(y)
-
-
-def _polish_point(p: StarPoly, q: Quaternion) -> Quaternion:
-    """Newton-polish an isolated zero of a degree <= 2 polynomial in all four
-    real coordinates, using the exact directional derivative
-    dP_q(e) = e a1 + (qe + eq) a2.
-
-    Candidates born near the real axis inherit sqrt(machine-eps) smearing from
-    the symmetrization (the slice height only enters it squared); the
-    quaternionic coefficients still hold the full information, so a short
-    Newton run restores it.
-    """
-    a1, a2 = p.coeff(1), p.coeff(2)
-    basis = (Quaternion(1.0), Quaternion(0, 1.0, 0, 0),
-             Quaternion(0, 0, 1.0, 0), Quaternion(0, 0, 0, 1.0))
-    for _ in range(8):
-        val = p.eval(q)
-        if val.norm() == 0.0:
-            return q
-        jac = np.empty((4, 4))
-        for col, e in enumerate(basis):
-            d = e * a1 + (q * e + e * q) * a2
-            jac[:, col] = (d.w, d.x, d.y, d.z)
-        try:
-            step = np.linalg.solve(jac, [val.w, val.x, val.y, val.z])
-        except np.linalg.LinAlgError:
-            return q
-        moved = q - Quaternion(*step)
-        if (moved - q).norm() <= 1e-17 * max(1.0, q.norm()):
-            return moved
-        q = moved
-    return q
-
-
-def _polish_real_root(f: StarPoly, x: float) -> float:
-    """Sharpen a real zero of f by damped Gauss-Newton on |f(x)|^2.
-
-    Real zeros arrive from double roots of the symmetrization and carry
-    sqrt(machine-eps) noise without this step.
-    """
-    deriv = StarPoly([f.coeff(n + 1) * float(n + 1) for n in range(max(f.degree, 0))])
-    for _ in range(8):
-        val = f.eval(Quaternion(x))
-        dv = deriv.eval(Quaternion(x))
-        d2 = dv.norm_sq()
-        if d2 == 0.0:
-            break
-        step = (dv.conj() * val).w / d2
-        x -= step
-        if abs(step) <= 1e-17 * max(1.0, abs(x)):
-            break
-    return x
-
-
 def quadratic_root_in_ball(p: StarPoly) -> RootReport:
     """All zeros of a degree 1 or 2 polynomial q^2 a2 + q a1 + a0.
 
-    The real symmetrization is factored through its complex conjugacy classes
-    x +- yi; on each sphere x + y*S the polynomial restricts to C + I*D with
-        C = (x^2 - y^2) a2 + x a1 + a0,   D = 2xy a2 + y a1.
-    A sphere contributes the isolated zero x + yI with I = -C * D^-1 when that I
-    is a unit imaginary, or the whole sphere when C and D both vanish.
+    Degree one has the single zero -a0 a1^-1.  In degree two, with the monic
+    coefficients b = a1 a2^-1 and c = a0 a2^-1, the zeros fill the sphere
+    x + y*S, x = -b/2, y = sqrt(c - b^2/4), exactly when b and c are real with
+    b^2 < 4c.  Otherwise they are isolated, and x = conj(q) solves
+    x^2 + B x + C = 0 with B = conj(a2)^-1 conj(a1), C = conj(a2)^-1 conj(a0).
+    The companion L = [[0, 1], [-C, -B]] maps (1, x) to (1, x) x, so every
+    right eigenvector v of L gives the zero conj(v2 v1^-1) (Serodio, Pereira and
+    Vitoria, 2001).  The eigenvectors are read from the complex 4x4 embedding of
+    L; copies of one zero are averaged, which also cancels the sqrt(eps)
+    splitting of a double zero.
     """
     if p.is_zero() or p.degree not in (1, 2):
         raise DomainError(f"root finder needs degree 1 or 2, got degree {p.degree}")
-
     a0, a1, a2 = p.coeff(0), p.coeff(1), p.coeff(2)
-    scale = p.max_coeff_norm()
-    coeff_tol = _SPHERE_COEFF_TOL * max(scale, 1.0)
+    if p.degree == 1:
+        return RootReport(points=[-(a0 * a1.inverse())])
 
-    ps = symmetrize(p)
-    real_asc = _real_coeffs(ps)
-    roots = np.roots(list(reversed(real_asc)))
+    b, c = a1 * a2.inverse(), a0 * a2.inverse()
+    x = -0.5 * b.w
+    h = c.w - x * x
+    real_tol = _SPHERE_TOL * max(1.0, b.norm(), c.norm())
+    # A sphere no wider than the merge tolerance is a double real zero.
+    if (b.im_norm() <= real_tol and c.im_norm() <= real_tol
+            and 4.0 * h > (_MERGE_TOL * (1.0 + abs(x))) ** 2):
+        return RootReport(spheres=[(x, math.sqrt(h))])
 
-    accept_tol = _ACCEPT_TOL * max(scale, 1.0)
-    report = RootReport()
-    for (x, y) in _conjugacy_classes(roots):
-
-        def restriction(xx: float, yy: float) -> tuple[Quaternion, Quaternion]:
-            return ((xx * xx - yy * yy) * a2 + xx * a1 + a0,
-                    (2.0 * xx * yy) * a2 + yy * a1)
-
-        def point_candidate(c: Quaternion, d: Quaternion) -> tuple[float, Quaternion] | None:
-            i_cand = -(c * d.inverse())
-            gate = (i_cand * i_cand + ONE).norm()
-            if gate <= _UNIT_IMAG_TOL:
-                pt = Quaternion(x) + i_cand * y
-                return p.eval(pt).norm(), pt
-            if gate <= _UNIT_IMAG_RETRY and i_cand.im_norm() > 0.0:
-                # Small slice heights leave the gate quantity noise-limited;
-                # project onto the imaginary sphere and let Newton plus the
-                # evaluation residual decide.
-                proj = i_cand.im() / i_cand.im_norm()
-                pt = _polish_point(p, Quaternion(x) + proj * y)
-                return p.eval(pt).norm(), pt
-            return None
-
-        candidates: list[tuple[float, Quaternion]] = []
-        if y > _REAL_SPLIT_TOL * (1.0 + abs(x)):
-            # Clearly off the real axis: isolated zero or a whole sphere.
-            x, y = _polish_conjugate_root(real_asc, x, y)
-            c, d = restriction(x, y)
-            if d.norm() > coeff_tol:
-                cand = point_candidate(c, d)
-                if cand is not None:
-                    candidates.append(cand)
-            elif c.norm() <= coeff_tol:
-                sx, sy = _polish_sphere(a0, a1, a2, x, y)
-                if not any(abs(px - sx) <= coeff_tol and abs(py - sy) <= coeff_tol
-                           for (px, py) in report.spheres):
-                    report.spheres.append((sx, sy))
-                continue
+    lead = a2.conj().inverse()
+    companion = QMat2(ZERO, ONE, -(lead * a0.conj()), -(lead * a1.conj()))
+    clusters: list[list[Quaternion]] = []
+    for t1, t2, s1, s2 in np.linalg.eig(psi_embed(companion))[1].T:
+        # The complex 4-vector (t, s) is the quaternion vector t - conj(s) j.
+        v1 = Quaternion(t1.real, t1.imag, -s1.real, s1.imag)
+        v2 = Quaternion(t2.real, t2.imag, -s2.real, s2.imag)
+        z = (v2 * v1.inverse()).conj()
+        for cluster in clusters:
+            if (z - cluster[0]).norm() <= _MERGE_TOL * (1.0 + z.norm()):
+                cluster.append(z)
+                break
         else:
-            # Hugging the real axis: either a double real root split by roundoff
-            # or a genuine zero of tiny slice height; Newton-polish both seeds
-            # and let the residuals decide.
-            if y > _HEIGHT_FLOOR:
-                c, d = restriction(x, y)
-                if d.norm() > 0.0:
-                    cand = point_candidate(c, d)
-                    if cand is not None:
-                        polished = _polish_point(p, cand[1])
-                        candidates.append((p.eval(polished).norm(), polished))
-            xr = _polish_real_root(p, x)
-            pt = _polish_point(p, Quaternion(xr))
-            candidates.append((p.eval(pt).norm(), pt))
-        candidates = [cand for cand in candidates if cand[0] <= accept_tol]
-        if candidates:
-            _add_point(report, min(candidates, key=lambda cand: cand[0])[1], scale)
-    return report
-
-
-def _add_point(report: RootReport, q: Quaternion, scale: float) -> None:
-    tol = _CLASS_MERGE_TOL * max(scale, 1.0)
-    if not any((q - p).norm() <= tol for p in report.points):
-        report.points.append(q)
+            clusters.append([z])
+    return RootReport(points=[sum(cluster, ZERO) / len(cluster) for cluster in clusters])
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,39 @@ def test_mobius_rejects_points_off_the_ball(capsys, monkeypatch, kind, point):
     assert "domain error" in err
 
 
+@pytest.mark.parametrize("kind, x", [("classical", 0.5), ("regular", 0.3)])
+def test_mobius_rejects_an_image_rounded_onto_the_boundary(capsys, monkeypatch, kind, x):
+    # H(20) sends these points within an ulp of 1, where the image rounds to |w| = 1
+    payload = {"matrix": mat_to_list(hyperbolic(20.0)), "point": [x, 0, 0, 0]}
+    code, out, err = run_cli(capsys, monkeypatch, ["mobius", "--kind", kind, "--format", "json"],
+                             stdin=json.dumps(payload))
+    assert code == 1 and out == ""
+    assert "domain error" in err and "open ball" in err
+
+
+@pytest.mark.parametrize("argv", [["check", "--what", "sp11"], ["mobius"],
+                                  ["decompose", "--mode", "symm"]])
+def test_missing_input_file_is_an_input_error(tmp_path, capsys, monkeypatch, argv):
+    missing = str(tmp_path / "absent.json")
+    code, out, err = run_cli(capsys, monkeypatch, argv + ["--file", missing])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "absent.json" in err
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["check", "--what", "sp11"],
+     '[[["1",0,0,0],[0,0,0,0]],[[0,0,0,0],[1,0,0,0]]]'),
+    (["check", "--what", "sp11"],
+     '[[[true,0,0,0],[0,0,0,0]],[[0,0,0,0],[1,0,0,0]]]'),
+    (["mobius"], json.dumps({"matrix": mat_to_list(identity()), "point": [0, False, 0, 0]})),
+    (["table", "--u", '["1",0,0,0]'], None),
+])
+def test_non_numeric_coordinates_are_input_errors(capsys, monkeypatch, argv, stdin):
+    code, out, err = run_cli(capsys, monkeypatch, argv, stdin=stdin)
+    assert code == 2 and out == ""
+    assert err.startswith("input error:")
+
+
 def test_json_output_never_carries_nan(capsys, monkeypatch):
     mat = mat_to_list(identity())
     mat[0][0][0] = math.nan

@@ -154,5 +154,6 @@ def test_json_roundtrip():
     q = Quaternion(1.5, -2.25, 0.125, 9.0)
     assert quat_from_list(quat_to_list(q)) == q
     assert quat_to_list(q) == [1.5, -2.25, 0.125, 9.0]
-    with pytest.raises(ValueError):
-        quat_from_list([1, 2, 3])
+    for data in ([1, 2, 3], ["1", 0, 0, 0], [True, 0, 0, 0], [0, 0, None, 0], [0, 0, 0, [1]]):
+        with pytest.raises(ValueError):
+            quat_from_list(data)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sliceball.errors import DomainError, PoleError
-from sliceball.quat import I, J, K, ONE, Quaternion, make_rng, sample_ball
+from sliceball.quat import (I, J, K, ONE, Quaternion, make_rng, sample_ball,
+                            sample_imaginary_unit)
 from sliceball.starpoly import (StarPoly, constant, quadratic_root_in_ball, reg_conj,
                                 regularity_residual, star_inverse_eval,
                                 symmetrize)
@@ -146,6 +147,22 @@ def test_root_finder_same_sphere_pair():
     assert abs(x - 0.2) <= 1e-8 and abs(y - a.im_norm()) <= 1e-8
 
 
+def _planted_quadratic(family, rng):
+    """(q - a) * g with the zero a near the real axis, on it, or beside the huge
+    zero of a g with a tiny leading coefficient."""
+    g = StarPoly([-Quaternion(*(0.8 * rng.standard_normal(4))), ONE])
+    if family == "near-axis":
+        height = 10.0 ** rng.uniform(-10, -4)
+        a = Quaternion(rng.uniform(-0.9, 0.9)) + sample_imaginary_unit(rng) * height
+    elif family == "real-zero":
+        a = Quaternion(rng.uniform(-0.95, 0.95))
+    else:
+        a = sample_ball(rng, 0.95)
+        g = StarPoly([Quaternion(*rng.standard_normal(4)),
+                      Quaternion(*rng.standard_normal(4)) * 10.0 ** rng.uniform(-9, -3)])
+    return StarPoly([-a, ONE]) * g, a
+
+
 def test_root_finder_random_residuals():
     rng = make_rng(13)
     for _ in range(100):
@@ -156,6 +173,26 @@ def test_root_finder_random_residuals():
         assert any((r - a).norm() <= 1e-9 for r in report.points_in_ball())
         for r in report.points:
             assert p.eval(r).norm() <= 1e-10
+    rng = make_rng(14)
+    for family in ("near-axis", "real-zero", "tiny-leading"):
+        for _ in range(100):
+            p, a = _planted_quadratic(family, rng)
+            report = quadratic_root_in_ball(p)
+            assert any((r - a).norm() <= 1e-9 for r in report.points_in_ball())
+            for r in report.points_in_ball():
+                assert p.eval(r).norm() <= 1e-10
+
+
+def test_root_finder_double_zero_is_one_point():
+    # (q - a) * (q - a) has the one zero a; a real a is not a thin sphere beside a point
+    rng = make_rng(15)
+    cases = [(StarPoly([0.09, -0.6, 1.0]), Quaternion(0.3))]
+    for a in [Quaternion(-0.7), Quaternion(0.9)] + [sample_ball(rng, 0.95) for _ in range(50)]:
+        cases.append((StarPoly([-a, ONE]) * StarPoly([-a, ONE]), a))
+    for p, a in cases:
+        report = quadratic_root_in_ball(p)
+        assert not report.spheres and len(report.points) == 1
+        assert (report.points[0] - a).norm() <= 1e-10
 
 
 def test_root_finder_near_axis_zero_not_collapsed():

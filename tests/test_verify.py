@@ -51,8 +51,6 @@ def test_full_suite_passes_quickly():
 
 
 def test_quotient_survives_small_height_points():
-    # These seeds once produced quotient points a few 1e-4 off the real axis,
-    # where the unit-imaginary gate of the root finder is noise-limited.
     idx = verify.CHECK_NAMES.index("equivariance-right")
     for seed in (9, 13):
         result = verify.run_check(verify.CHECKS[idx], seed, idx)
