@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import verify
+from . import SUITES
 from .errors import ConsistencyError, DomainError, PoleError
 from .hmat import algebra_check, ensure_sp11, mat_from_list, sp11_check, sp11_residual
 from .lie import (centralizer_check, CENTRALIZER_SUBGROUPS, fact_to_dict,
@@ -143,6 +143,7 @@ def _parse_tols(pairs: list[str]) -> dict[str, float]:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # numpy loads only for the suite
     tols = _parse_tols(args.tol)
     results = verify.run_checks(args.suite, seed=args.seed, trials=args.trials,
                                 tol_overrides=tols)
@@ -178,6 +179,8 @@ def cmd_table(args) -> int:
     u = quat_from_list(json.loads(args.u))
     base = quat_from_list(json.loads(args.a)) if args.kind == "orbit" else Quaternion()
     rows = geodesic_table(u, args.t_min, args.t_max, args.steps, a=base)
+    for _, p in rows:  # far out along the orbit a point can round onto the boundary
+        ensure_in_ball(p, "a table point is not in the open ball", name="p")
     print("t,w,x,y,z")
     for t, p in rows:
         print(",".join(_fmt(v) for v in (t, p.w, p.x, p.y, p.z)))
@@ -212,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.set_defaults(run=cmd_decompose)
 
     p_ver = sub.add_parser("verify", help="run the randomized verification suite")
-    p_ver.add_argument("--suite", choices=list(verify.SUITES), default="all")
+    p_ver.add_argument("--suite", choices=list(SUITES), default="all")
     p_ver.add_argument("--seed", type=int, default=1)
     p_ver.add_argument("--trials", type=int, default=None,
                        help="override the per-check sample count")

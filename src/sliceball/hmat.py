@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DomainError
 from .quat import ONE, ZERO, Quaternion, as_quat, sgn
 
@@ -205,11 +203,6 @@ def off_diag(a) -> Sp11Algebra:
     return Sp11Algebra(ZERO, ZERO, a)
 
 
-def diag_alg(p, q) -> Sp11Algebra:
-    """The diagonal algebra element diag(p, q) with p, q imaginary."""
-    return Sp11Algebra(p, q, ZERO)
-
-
 def algebra_residual(x: QMat2) -> float:
     k = i11()
     return (x.adjoint() @ k + k @ x).max_norm()
@@ -218,11 +211,6 @@ def algebra_residual(x: QMat2) -> float:
 def algebra_check(x: QMat2) -> tuple[bool, float]:
     r = algebra_residual(x)
     return r <= ALGEBRA_TOL, r
-
-
-def cartan_split(x: Sp11Algebra) -> tuple[Sp11Algebra, Sp11Algebra]:
-    """Exact split into the diagonal (isotropy) part and the off-diagonal part."""
-    return diag_alg(x.p, x.q), off_diag(x.a)
 
 
 def lie_bracket(x: Sp11Algebra, y: Sp11Algebra) -> Sp11Algebra:
@@ -285,6 +273,7 @@ def quat_complex_pair(q: Quaternion) -> tuple[complex, complex]:
 
 
 def psi_embed(a: QMat2) -> np.ndarray:
+    import numpy as np
     z = np.empty((2, 2), dtype=complex)
     w = np.empty((2, 2), dtype=complex)
     for (i, j), m in (((0, 0), a.m11), ((0, 1), a.m12), ((1, 0), a.m21), ((1, 1), a.m22)):
@@ -309,21 +298,18 @@ def k11() -> np.ndarray:
 
 def rho(m: np.ndarray) -> np.ndarray:
     """Conjugation by diag(1, i, 1, i), moving the embedded group onto its complex realization."""
+    import numpy as np
     d = np.array([1.0, 1.0j, 1.0, 1.0j])
     return (m * d[:, None]) * (1.0 / d)[None, :]
 
 
 def hat_sp11_residual(m: np.ndarray) -> float:
+    import numpy as np
     k = k11()
     j = j2()
     r1 = np.abs(m.conj().T @ k @ m - k).max()
     r2 = np.abs(m.T @ j @ m - j).max()
     return float(max(r1, r2))
-
-
-def hat_sp11_check(m: np.ndarray) -> tuple[bool, float]:
-    r = hat_sp11_residual(m)
-    return r <= GROUP_TOL, r
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-
 from .errors import DomainError
 from .mobius import differential
 from .quat import ONE, Quaternion, as_quat, ensure_in_ball, make_rng
@@ -109,5 +107,16 @@ def geodesic_table(u: Quaternion, t_min: float, t_max: float, steps: int,
         raise DomainError(f"orbit direction must be a unit quaternion, |u| = {u.norm()!r}")
     base = as_quat(a) if a is not None else Quaternion()
     ensure_in_ball(base, "orbit base point must lie in the open ball", name="a")
-    ts = np.linspace(t_min, t_max, steps)
-    return [(float(t), symm_geodesic(u, base, float(t))) for t in ts]
+    t_min, t_max = float(t_min), float(t_max)
+    if not (math.isfinite(t_min) and math.isfinite(t_max)):
+        raise DomainError(f"table range must be finite, got [{t_min!r}, {t_max!r}]")
+    # np.linspace(t_min, t_max, steps), in the order numpy 2.x rounds it.
+    div = steps - 1
+    delta = t_max - t_min
+    step = delta / div
+    if step == 0.0:  # the step underflows: scale by delta after dividing
+        ts = [i / div * delta + t_min for i in range(steps)]
+    else:
+        ts = [i * step + t_min for i in range(steps)]
+    ts[-1] = t_max
+    return [(t, symm_geodesic(u, base, t)) for t in ts]

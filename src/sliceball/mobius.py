@@ -8,8 +8,6 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .errors import ConsistencyError, DomainError
 from .hmat import QMat2, ensure_sp11, hyperbolic, i11, sp11_check
 from .quat import ONE, Quaternion, as_quat, ensure_in_ball
@@ -88,6 +86,7 @@ def quotient_point(a: QMat2) -> Quaternion:
 def differential(fn: Callable[[Quaternion], Quaternion], q: Quaternion,
                  h: float = FD_STEP) -> np.ndarray:
     """Central-difference Jacobian of a ball map in (w, x, y, z) coordinates."""
+    import numpy as np
     q = as_quat(q)
     coords = [q.w, q.x, q.y, q.z]
     if h <= 0.0 or any(c + h == c for c in coords):
@@ -107,6 +106,7 @@ def differential(fn: Callable[[Quaternion], Quaternion], q: Quaternion,
 
 def orientation_sign(fn: Callable[[Quaternion], Quaternion], q: Quaternion) -> float:
     """Sign of the Jacobian determinant at q."""
+    import numpy as np
     return float(np.sign(np.linalg.det(differential(fn, q))))
 
 

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DomainError
 
 # Absolute tolerance for membership predicates (unit norm, vanishing real part).
@@ -166,26 +164,8 @@ def slice_split(q: Quaternion) -> tuple[float, float, Quaternion]:
     return q.w, y, Quaternion(0.0, q.x / y, q.y / y, q.z / y)
 
 
-def qexp(q: Quaternion) -> Quaternion:
-    """Quaternion exponential exp(w)*(cos|v| + sgn(v) sin|v|), v = Im(q)."""
-    r = q.im_norm()
-    s = math.exp(q.w)
-    if r == 0.0:
-        return Quaternion(s)
-    f = s * math.sin(r) / r
-    return Quaternion(s * math.cos(r), f * q.x, f * q.y, f * q.z)
-
-
-def is_unit(q: Quaternion, tol: float = MEMBER_TOL) -> bool:
-    return abs(q.norm() - 1.0) <= tol
-
-
 def is_imaginary_unit(q: Quaternion, tol: float = MEMBER_TOL) -> bool:
     return abs(q.w) <= tol and abs(q.norm() - 1.0) <= tol
-
-
-def in_ball(q: Quaternion, margin: float = BALL_MARGIN) -> bool:
-    return q.norm() < 1.0 - margin
 
 
 def ensure_in_ball(q: Quaternion, what: str, bound: float = 1.0, name: str = "q") -> None:
@@ -194,13 +174,6 @@ def ensure_in_ball(q: Quaternion, what: str, bound: float = 1.0, name: str = "q"
     r = q.norm()
     if not r < bound:
         raise DomainError(f"{what}, |{name}| = {r!r}")
-
-
-def normalized(q: Quaternion) -> Quaternion:
-    n = q.norm()
-    if n == 0.0:
-        raise DomainError("cannot normalize the zero quaternion")
-    return q / n
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +188,10 @@ def quat_from_list(data) -> Quaternion:
     if (not isinstance(data, (list, tuple)) or len(data) != 4
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in data)):
         raise ValueError(f"expected a [w, x, y, z] array of numbers, got {data!r}")
-    return Quaternion(*data)
+    try:
+        return Quaternion(*data)
+    except OverflowError as exc:  # a JSON integer beyond the double range
+        raise ValueError(f"coordinate out of the double range: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +200,7 @@ def quat_from_list(data) -> Quaternion:
 
 def make_rng(seed) -> np.random.Generator:
     """Accept an int seed (or seed sequence material) or pass a Generator through."""
+    import numpy as np
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
@@ -233,10 +210,10 @@ def sample_sphere3(rng) -> Quaternion:
     """Uniform point on the unit 3-sphere of quaternions."""
     rng = make_rng(rng)
     v = rng.standard_normal(4)
-    n = float(np.linalg.norm(v))
+    n = math.sqrt(v.dot(v))  # bit for bit np.linalg.norm(v) of a 1-D float array
     while n < 1e-12:  # pragma: no cover - probability ~0
         v = rng.standard_normal(4)
-        n = float(np.linalg.norm(v))
+        n = math.sqrt(v.dot(v))
     return Quaternion(v[0] / n, v[1] / n, v[2] / n, v[3] / n)
 
 
@@ -244,10 +221,10 @@ def sample_imaginary_unit(rng) -> Quaternion:
     """Uniform point on the 2-sphere of imaginary units."""
     rng = make_rng(rng)
     v = rng.standard_normal(3)
-    n = float(np.linalg.norm(v))
+    n = math.sqrt(v.dot(v))
     while n < 1e-12:  # pragma: no cover
         v = rng.standard_normal(3)
-        n = float(np.linalg.norm(v))
+        n = math.sqrt(v.dot(v))
     return Quaternion(0.0, v[0] / n, v[1] / n, v[2] / n)
 
 

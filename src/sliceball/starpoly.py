@@ -1,6 +1,6 @@
 """Slice regular polynomial calculus: the star product, regular conjugate,
-symmetrization, star-inverse evaluation, a bounded-degree root finder, and a
-numerical slice-regularity residual.
+symmetrization, a bounded-degree root finder, and a numerical slice-regularity
+residual.
 
 A polynomial is stored by its right coefficients: f(q) = sum_n q^n a_n.
 """
@@ -10,9 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import DomainError, PoleError
+from .errors import DomainError
 from .hmat import QMat2, psi_embed
 from .quat import (BALL_MARGIN, ONE, ZERO, Quaternion, as_quat,
                    is_imaginary_unit, slice_split)
@@ -90,18 +88,6 @@ def symmetrize(f: StarPoly) -> StarPoly:
     return f * reg_conj(f)
 
 
-def star_inverse_eval(f: StarPoly, q: Quaternion) -> Quaternion:
-    """Value at q of the star-inverse (1/f^s) f^c.
-
-    Raises PoleError where the symmetrization vanishes.
-    """
-    fs = symmetrize(f)
-    den = fs.eval(q)
-    if den.norm() == 0.0:
-        raise PoleError(f"star-inverse evaluated on the zero set of the symmetrization at {q!r}")
-    return den.inverse() * reg_conj(f).eval(q)
-
-
 def linear_map(a, b) -> StarPoly:
     """The degree-one map q -> q a + b."""
     return StarPoly([b, a])
@@ -167,6 +153,7 @@ def quadratic_root_in_ball(p: StarPoly) -> RootReport:
             and 4.0 * h > (_MERGE_TOL * (1.0 + abs(x))) ** 2):
         return RootReport(spheres=[(x, math.sqrt(h))])
 
+    import numpy as np
     lead = a2.conj().inverse()
     companion = QMat2(ZERO, ONE, -(lead * a0.conj()), -(lead * a1.conj()))
     clusters: list[list[Quaternion]] = []

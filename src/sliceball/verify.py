@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from . import hmat, lie, mobius
+from . import SUITES, hmat, lie, mobius
 from .errors import ConsistencyError
 from .hmat import (QMat2, Sp11Algebra, diag, exp_general, exp_m, hyperbolic,
                    i11, i_eps, identity, lie_bracket, off_diag, psi_embed,
@@ -57,8 +57,6 @@ class CheckDef:
     tol: float
     op: str = "<="
 
-
-SUITES = ("all", "decompose", "mobius", "metrics", "isometry", "orbits")
 
 # A check yields one residual per comparison it makes; run_check reduces them.
 Residuals = Iterator[float]

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -247,6 +248,31 @@ def test_import_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_per_call_commands_load_neither_numpy_nor_verify():
+    # check, mobius, decompose and table are pure Python; numpy comes with verify
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    mat = mat_to_list(hyperbolic(0.5))
+    runs = [(["check", "--what", "sp11"], mat), (["check", "--what", "o11"], mat),
+            (["mobius", "--kind", "regular"], {"matrix": mat, "point": [0.1, 0.2, 0, 0]}),
+            (["decompose", "--mode", "slice"], mat), (["decompose", "--mode", "symm"], mat),
+            (["table", "--kind", "orbit", "--a", "[0.3,0,0,0]"], None)]
+    code = textwrap.dedent(f"""
+        import io, json, sys
+        import sliceball.cli
+        loaded = [{{"numpy", "sliceball.verify"}} & set(sys.modules)]
+        for argv, stdin in {runs!r}:
+            sys.stdin = io.StringIO(json.dumps(stdin))
+            assert sliceball.cli.main(argv) == 0, argv
+            loaded.append({{"numpy", "sliceball.verify"}} & set(sys.modules))
+        print(loaded, file=sys.stderr)
+        """)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == repr([set()] * (1 + len(runs)))
+
+
 def test_verify_does_not_load_scipy():
     # both oracles run on numpy alone, so a full run never imports scipy
     src = Path(__file__).resolve().parents[1] / "src"
@@ -376,3 +402,36 @@ def test_verify_rejects_fewer_than_one_trial(capsys, monkeypatch, trials):
     code, out, err = run_cli(capsys, monkeypatch, ["verify", "--trials", trials])
     assert code == 2 and out == ""
     assert "at least 1 trial" in err
+
+
+HUGE = int("1" + "0" * 400)  # beyond the double range
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["check", "--what", "sp11"], json.dumps([[[HUGE, 0, 0, 0], [0, 0, 0, 0]],
+                                              [[0, 0, 0, 0], [1, 0, 0, 0]]])),
+    (["mobius"], json.dumps({"matrix": mat_to_list(identity()), "point": [0, -HUGE, 0, 0]})),
+    (["table", "--u", f"[{HUGE},0,0,0]"], None),
+], ids=["check", "mobius", "table"])
+def test_a_huge_integer_coordinate_is_an_input_error(capsys, monkeypatch, argv, stdin):
+    # float() of such an integer raises OverflowError, which once ended in a traceback
+    code, out, err = run_cli(capsys, monkeypatch, argv, stdin=stdin)
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "double range" in err
+
+
+@pytest.mark.parametrize("bounds", [["--t-min=-1", "--t-max=1e400"], ["--t-min=nan"],
+                                    ["--t-max=-inf"]])
+def test_table_rejects_a_non_finite_range(capsys, monkeypatch, bounds):
+    code, out, err = run_cli(capsys, monkeypatch, ["table", "--steps", "3"] + bounds)
+    assert code == 1 and out == ""
+    assert "domain error" in err and "finite" in err
+
+
+@pytest.mark.parametrize("kind", ["geodesic", "orbit"])
+def test_table_rejects_a_point_rounded_onto_the_boundary(capsys, monkeypatch, kind):
+    # tanh(20) rounds to 1, so the last row would lie on the unit sphere
+    code, out, err = run_cli(capsys, monkeypatch, ["table", "--kind", kind, "--t-min=0",
+                                                   "--t-max=20", "--steps", "2"])
+    assert code == 1 and out == ""
+    assert "domain error" in err and "open ball" in err

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from sliceball.errors import DomainError
@@ -157,6 +158,27 @@ def test_geodesic_table():
     assert abs(rows[0][1].w - math.tanh(1.0)) <= 1e-12
     with pytest.raises(ValueError):
         geodesic_table(ONE, 0.0, 1.0, 1)
+
+
+def test_geodesic_table_t_column_is_linspace():
+    # the t column is np.linspace(t_min, t_max, steps) bit for bit, signed zeros
+    # and a step that underflows included
+    rng = make_rng(60)
+    cases = [(float(lo), float(hi), int(n)) for lo, hi, n in
+             zip(rng.uniform(-5, 5, 200), rng.uniform(-5, 5, 200), rng.integers(2, 200, 200))]
+    cases += [(3.0, -2.0, 7), (0.7, 0.7, 4), (-0.0, -0.0, 3), (0.0, -0.0, 3), (-0.0, 1.0, 5),
+              (-1.0, -0.0, 5), (1.0, 2.0, 2), (-2.5, 2.5, 5000), (0.0, 5e-324, 3),
+              (-5e-324, 5e-324, 7), (1e300, -1e300, 9)]
+    for t_min, t_max, steps in cases:
+        got = [t.hex() for t, _ in geodesic_table(ONE, t_min, t_max, steps)]
+        assert got == [float(t).hex() for t in np.linspace(t_min, t_max, steps)]
+
+
+@pytest.mark.parametrize("t_min, t_max", [(-1.0, math.inf), (-math.inf, 1.0),
+                                          (math.nan, 1.0), (0.0, math.nan)])
+def test_geodesic_table_rejects_a_non_finite_range(t_min, t_max):
+    with pytest.raises(DomainError, match="finite"):
+        geodesic_table(ONE, t_min, t_max, 3)
 
 
 @pytest.mark.parametrize("u", [ONE * 2.0, ONE * (1.0 + 1e-8), ONE * 0.5, Quaternion()])
