@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import SUITES
 from .errors import ConsistencyError, DomainError, PoleError
@@ -145,8 +146,10 @@ def _parse_tols(pairs: list[str]) -> dict[str, float]:
 def cmd_verify(args) -> int:
     from . import verify  # numpy loads only for the suite
     tols = _parse_tols(args.tol)
+    start = time.perf_counter()
     results = verify.run_checks(args.suite, seed=args.seed, trials=args.trials,
                                 tol_overrides=tols)
+    wall = time.perf_counter() - start
     if args.format == "json":
         print(json.dumps([{"name": r.name, "suite": r.suite, "value": r.value,
                            "tol": r.tol, "op": r.op, "trials": r.trials,
@@ -167,8 +170,8 @@ def cmd_verify(args) -> int:
     for r in results:
         if r.error is not None:
             print(f"error in {r.name}: {r.error}", file=sys.stderr)
-    total = sum(r.seconds for r in results)
-    print(f"wall time: {total:.3f} s", file=sys.stderr)
+    checks = sum(r.seconds for r in results)  # exceeds the wall time once checks overlap
+    print(f"wall time: {wall:.3f} s, check time: {checks:.3f} s", file=sys.stderr)
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DomainError
 
@@ -153,14 +154,22 @@ def sgn(q: Quaternion) -> Quaternion:
     return q / n
 
 
+_SQRT_MIN = math.sqrt(sys.float_info.min)
+
+
 def slice_split(q: Quaternion) -> tuple[float, float, Quaternion]:
     """Write q = x + y*I with y >= 0 and I a unit imaginary.
 
     Real quaternions get y = 0 and the canonical slice I = i.
     """
     y = q.im_norm()
-    if y == 0.0:
-        return q.w, 0.0, I
+    if y < _SQRT_MIN:  # the squares inside im_norm went subnormal or to zero
+        scale = max(abs(q.x), abs(q.y), abs(q.z))
+        if scale == 0.0:
+            return q.w, 0.0, I
+        u = Quaternion(0.0, q.x / scale, q.y / scale, q.z / scale)
+        s = u.im_norm()
+        return q.w, scale * s, Quaternion(0.0, u.x / s, u.y / s, u.z / s)
     return q.w, y, Quaternion(0.0, q.x / y, q.y / y, q.z / y)
 
 

@@ -4,17 +4,21 @@ seed and yields one residual per comparison; `run_check` reduces them to the
 worst one and compares it against a pinned tolerance.  A check that raises a
 numerical error (ValueError, ArithmeticError or RuntimeError, which cover
 DomainError, PoleError, ConsistencyError and numpy's LinAlgError) fails at
-infinity with the exception recorded, and the run goes on.
+infinity with the exception recorded, and the run goes on.  `run_checks`
+spreads the selected checks over a forked worker pool, one worker per usable
+CPU, and returns their results in registry order.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it lazily; loaded here, forked workers share it
 
 from . import SUITES, hmat, lie, mobius
 from .errors import ConsistencyError
@@ -707,11 +711,15 @@ CHECKS: tuple[CheckDef, ...] = (
 CHECK_NAMES = tuple(c.name for c in CHECKS)
 
 
+def _require_trials(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"a check needs at least 1 trial, got {n}")
+
+
 def run_check(check: CheckDef, seed: int, index: int, trials: int | None = None,
               tol: float | None = None) -> CheckResult:
     n = check.trials if trials is None else trials
-    if n < 1:
-        raise ValueError(f"a check needs at least 1 trial, got {n}")
+    _require_trials(n)
     rng = np.random.default_rng([seed, index])
     t = check.tol if tol is None else tol
     error = None
@@ -728,19 +736,49 @@ def run_check(check: CheckDef, seed: int, index: int, trials: int | None = None,
                        error)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_job(job: tuple[int, int, int | None, float | None]) -> CheckResult:
+    """Run the check at a registry index; a job is `(index, seed, trials, tol)`.
+    A forked worker looks the check up in the registry it inherited."""
+    index, seed, trials, tol = job
+    return run_check(CHECKS[index], seed, index, trials, tol)
+
+
 def run_checks(suite: str = "all", seed: int = 1, trials: int | None = None,
                tol_overrides: dict[str, float] | None = None) -> list[CheckResult]:
     """Run the selected suite; the per-check generator depends only on the master
-    seed and the check's registry position, so reports are reproducible."""
+    seed and the check's registry position, so reports are reproducible.
+
+    The checks run in a pool of `fork` workers, one per usable CPU up to one per
+    check, and come back in registry order.  With one usable CPU, or where
+    `fork` is missing, they run one after another in this process.  Arguments
+    are validated before any worker starts.
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    if trials is not None:
+        _require_trials(trials)
     overrides = tol_overrides or {}
     unknown = set(overrides) - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"tolerance overrides for unknown checks: {sorted(unknown)}")
-    results = []
-    for index, check in enumerate(CHECKS):
-        if suite != "all" and check.suite != suite:
-            continue
-        results.append(run_check(check, seed, index, trials, overrides.get(check.name)))
-    return results
+    non_finite = sorted(name for name, tol in overrides.items() if not math.isfinite(tol))
+    if non_finite:  # an infinite tolerance passes vacuously, a NaN one fails vacuously
+        raise ValueError(f"tolerance overrides must be finite: {non_finite}")
+    jobs = [(index, seed, trials, overrides.get(check.name))
+            for index, check in enumerate(CHECKS) if suite in ("all", check.suite)]
+    import multiprocessing  # only the suite runner needs it
+    workers = min(_usable_cpus(), len(jobs))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return list(map(_run_job, jobs))
+    # fork, not spawn: a spawned worker would import numpy again, and the
+    # workers must see the registry and module state of this process
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        return pool.map(_run_job, jobs, chunksize=1)

@@ -249,7 +249,8 @@ def test_import_does_not_load_scipy():
 
 
 def test_per_call_commands_load_neither_numpy_nor_verify():
-    # check, mobius, decompose and table are pure Python; numpy comes with verify
+    # check, mobius, decompose and table are pure Python; numpy and the worker
+    # pool come with verify
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     mat = mat_to_list(hyperbolic(0.5))
@@ -260,11 +261,12 @@ def test_per_call_commands_load_neither_numpy_nor_verify():
     code = textwrap.dedent(f"""
         import io, json, sys
         import sliceball.cli
-        loaded = [{{"numpy", "sliceball.verify"}} & set(sys.modules)]
+        heavy = {{"numpy", "sliceball.verify", "multiprocessing"}}
+        loaded = [heavy & set(sys.modules)]
         for argv, stdin in {runs!r}:
             sys.stdin = io.StringIO(json.dumps(stdin))
             assert sliceball.cli.main(argv) == 0, argv
-            loaded.append({{"numpy", "sliceball.verify"}} & set(sys.modules))
+            loaded.append(heavy & set(sys.modules))
         print(loaded, file=sys.stderr)
         """)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -402,6 +404,15 @@ def test_verify_rejects_fewer_than_one_trial(capsys, monkeypatch, trials):
     code, out, err = run_cli(capsys, monkeypatch, ["verify", "--trials", trials])
     assert code == 2 and out == ""
     assert "at least 1 trial" in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan"])
+def test_verify_rejects_a_non_finite_tolerance(capsys, monkeypatch, tol):
+    # an infinite tolerance would pass its check vacuously, a NaN one fail it
+    code, out, err = run_cli(capsys, monkeypatch,
+                             ["verify", "--suite", "orbits", "--tol", f"orbit-invariance={tol}"])
+    assert code == 2 and out == ""
+    assert "must be finite" in err
 
 
 HUGE = int("1" + "0" * 400)  # beyond the double range

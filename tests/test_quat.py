@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sliceball.errors import DomainError
 from sliceball.quat import (BALL_MARGIN, MEMBER_TOL, I, J, K, ONE, ZERO, Quaternion,
@@ -93,12 +93,18 @@ def test_slice_split_examples():
 
 
 @given(quats)
+@example(Quaternion(0, 0, 0, 2.5459942040496302e-160))  # its square is subnormal
+@example(Quaternion(0, 0, 0, 1e-170))  # its square underflows to zero
 def test_slice_split_recomposes(q):
     x, y, unit = slice_split(q)
     assert y >= 0
     assert (Quaternion(x) + unit * y - q).norm() <= 1e-14 * (1 + q.norm())
     if y > 0:
         assert (unit * unit + ONE).norm() <= 1e-12
+
+
+def test_slice_split_keeps_a_tiny_imaginary_part():
+    assert slice_split(Quaternion(0, 0, 0, 1e-170)) == (0, 1e-170, K)
 
 
 SAMPLERS = {"ball": sample_ball, "sphere3": sample_sphere3,

@@ -1,6 +1,7 @@
 """Runner mechanics of the verification suite."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -203,3 +204,41 @@ def test_a_check_that_yields_nothing_fails(op, failing):
     empty = verify.CheckDef("empty", "orbits", lambda rng, trials: iter(()), 10, 1.0, op)
     result = verify.run_check(empty, 1, 0)
     assert not result.passed and result.value == failing
+
+
+# The worker pool: the same results as one check at a time, in registry order.
+
+def _without_seconds(results):
+    return [dict(vars(r), seconds=None) for r in results]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_pool_matches_running_each_check_alone(monkeypatch, seed):
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    # 5 trials keep this short; the order of the results and the stream each
+    # check draws do not depend on the trial count
+    alone = [verify.run_check(check, seed, index, trials=5)
+             for index, check in enumerate(verify.CHECKS)]
+    pooled = verify.run_checks("all", seed, trials=5)
+    assert _without_seconds(pooled) == _without_seconds(alone)
+
+
+def test_a_programming_error_propagates_out_of_the_pool(monkeypatch):
+    broken = verify.CheckDef("broken", "orbits", _raise_after_a_pass(TypeError("bad call")),
+                             10, 1.0)
+    monkeypatch.setattr(verify, "CHECKS", verify.CHECKS + (broken,))
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    with pytest.raises(TypeError, match="bad call"):
+        verify.run_checks("orbits", trials=5)
+
+
+def test_one_usable_cpu_runs_the_checks_in_process(monkeypatch):
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    pooled = verify.run_checks("all", seed=5, trials=5)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
+
+    def no_fork():
+        raise AssertionError("started a child process")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert _without_seconds(verify.run_checks("all", seed=5, trials=5)) == _without_seconds(pooled)
