@@ -13,14 +13,8 @@ import json
 import sys
 import time
 
-from . import SUITES
+from . import CENTRALIZER_SUBGROUPS, SUITES
 from .errors import ConsistencyError, DomainError, PoleError
-from .hmat import algebra_check, ensure_sp11, mat_from_list, sp11_check, sp11_residual
-from .lie import (centralizer_check, CENTRALIZER_SUBGROUPS, fact_to_dict,
-                  slice_compose, slice_decompose, symm_compose, symm_decompose)
-from .metrics import geodesic_table
-from .mobius import classical_apply, o11_classify, regular_apply
-from .quat import Quaternion, ensure_in_ball, quat_from_list, quat_to_list
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -31,15 +25,22 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _parse_json(text: str) -> object:
+    try:
+        return json.loads(text)
+    except RecursionError as exc:  # nesting deeper than the interpreter's stack
+        raise ValueError("JSON input is nested too deeply") from exc
+
+
 def _read_input(args) -> object:
     if not getattr(args, "file", None):
-        return json.loads(sys.stdin.read())
+        return _parse_json(sys.stdin.read())
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:  # a missing or unreadable file is an input error
         raise ValueError(str(exc)) from exc
-    return json.loads(text)
+    return _parse_json(text)
 
 
 def _emit(payload: dict, fmt: str, human_lines: list[str]) -> None:
@@ -63,6 +64,7 @@ def _emit(payload: dict, fmt: str, human_lines: list[str]) -> None:
 # check
 
 def cmd_check(args) -> int:
+    from .hmat import algebra_check, mat_from_list, sp11_check, sp11_residual
     data = _read_input(args)
     mat = mat_from_list(data)
     what = args.what
@@ -71,8 +73,10 @@ def cmd_check(args) -> int:
     elif what == "algebra":
         ok, residual = algebra_check(mat)
     elif what.startswith("centralizer:"):
+        from .lie import centralizer_check
         ok, residual = centralizer_check(mat, what.split(":", 1)[1])
     elif what == "o11":
+        from .mobius import o11_classify
         residual = sp11_residual(mat)
         try:
             parts = o11_classify(mat)
@@ -95,6 +99,9 @@ def cmd_check(args) -> int:
 # mobius
 
 def cmd_mobius(args) -> int:
+    from .hmat import ensure_sp11, mat_from_list
+    from .mobius import classical_apply, regular_apply
+    from .quat import ensure_in_ball, quat_from_list, quat_to_list
     data = _read_input(args)
     mat = mat_from_list(data["matrix"])
     point = quat_from_list(data["point"])
@@ -111,6 +118,8 @@ def cmd_mobius(args) -> int:
 # decompose
 
 def cmd_decompose(args) -> int:
+    from .hmat import mat_from_list
+    from .lie import fact_to_dict, slice_compose, slice_decompose, symm_compose, symm_decompose
     data = _read_input(args)
     mat = mat_from_list(data)
     if args.mode == "symm":
@@ -179,8 +188,10 @@ def cmd_verify(args) -> int:
 # table
 
 def cmd_table(args) -> int:
-    u = quat_from_list(json.loads(args.u))
-    base = quat_from_list(json.loads(args.a)) if args.kind == "orbit" else Quaternion()
+    from .metrics import geodesic_table
+    from .quat import Quaternion, ensure_in_ball, quat_from_list
+    u = quat_from_list(_parse_json(args.u))
+    base = quat_from_list(_parse_json(args.a)) if args.kind == "orbit" else Quaternion()
     rows = geodesic_table(u, args.t_min, args.t_max, args.steps, a=base)
     for _, p in rows:  # far out along the orbit a point can round onto the boundary
         ensure_in_ball(p, "a table point is not in the open ball", name="p")

@@ -75,7 +75,24 @@ class QMat2:
         return QMat2(self.m11.conj(), self.m21.conj(), self.m12.conj(), self.m22.conj())
 
     def max_norm(self) -> float:
-        return max(self.m11.norm(), self.m12.norm(), self.m21.norm(), self.m22.norm())
+        """The largest entry norm; NaN when an entry holds a NaN.
+
+        sqrt is correctly rounded and monotone, so the root of the largest
+        squared norm equals the largest norm bit for bit, at one root.
+        """
+        return math.sqrt(nan_max((self.m11.norm_sq(), self.m12.norm_sq(),
+                                  self.m21.norm_sq(), self.m22.norm_sq())))
+
+
+def nan_max(values) -> float:
+    """max() of a sequence of non-negative values, NaN when any value is NaN.
+
+    The builtin max() keeps its first argument when a comparison with NaN is
+    false, so it drops a NaN that is not first. One sum detects a NaN: the
+    values are never -inf, so the sum is NaN only when a value is.
+    """
+    total = sum(values)
+    return max(values) if total == total else math.nan
 
 
 def identity() -> QMat2:
@@ -309,7 +326,7 @@ def hat_sp11_residual(m: np.ndarray) -> float:
     j = j2()
     r1 = np.abs(m.conj().T @ k @ m - k).max()
     r2 = np.abs(m.T @ j @ m - j).max()
-    return float(max(r1, r2))
+    return float(np.maximum(r1, r2))  # unlike max(), np.maximum keeps a NaN
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ semidirect composition law, centralizer predicates, and the orbit invariant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
+from . import CENTRALIZER_SUBGROUPS
 from .errors import ConsistencyError, DomainError
-from .hmat import QMat2, column_scaled_norm, diag, ensure_sp11, exp_m, identity, scalar
+from .hmat import QMat2, column_scaled_norm, diag, ensure_sp11, exp_m, identity, nan_max, scalar
 from .quat import (BALL_MARGIN, I, ONE, Quaternion, as_quat, ensure_in_ball, quat_to_list,
                    sgn, slice_split)
 
@@ -20,22 +21,19 @@ CENTRALIZER_TOL = 1e-12
 MEMBER_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SymmFactorization:
+# Records are named tuples: immutable and compared by value, and importing
+# collections costs a CLI command nothing, unlike dataclasses.
+
+class SymmFactorization(namedtuple("SymmFactorization", "u v x")):
     """A = diag(u, v) exp(X) with X the off-diagonal element of direction x."""
 
-    u: Quaternion
-    v: Quaternion
-    x: Quaternion
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SliceFactorization:
+class SliceFactorization(namedtuple("SliceFactorization", "u x v")):
     """A = diag(u, 1) exp(X) (v I2) with X the off-diagonal element of direction x."""
 
-    u: Quaternion
-    x: Quaternion
-    v: Quaternion
+    __slots__ = ()
 
 
 def symm_compose(f: SymmFactorization) -> QMat2:
@@ -89,16 +87,13 @@ def slice_decompose(a: QMat2) -> SliceFactorization:
 #   q -> eps1 u (1 + tanh(t) q)^-1 (q + tanh(t)) conj(u)
 # with q replaced by conj(q) first when eps2 = -1.
 
-@dataclass(frozen=True)
-class IsoGElement:
-    u: Quaternion
-    eps1: int = 1
-    t: float = 0.0
-    eps2: int = 1
+class IsoGElement(namedtuple("IsoGElement", "u eps1 t eps2")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.eps1 not in (1, -1) or self.eps2 not in (1, -1):
+    def __new__(cls, u: Quaternion, eps1: int = 1, t: float = 0.0, eps2: int = 1):
+        if eps1 not in (1, -1) or eps2 not in (1, -1):
             raise DomainError("eps1 and eps2 must be +1 or -1")
+        return super().__new__(cls, u, eps1, t, eps2)
 
 
 ISO_IDENTITY = IsoGElement(ONE, 1, 0.0, 1)
@@ -138,13 +133,11 @@ _PROBES = {
 }
 _PROBES["sp1xsp1"] = lambda: _PROBES["sp1x1"]() + _PROBES["sp1I2"]()
 
-CENTRALIZER_SUBGROUPS = tuple(sorted(_PROBES))
-
 
 def centralizer_residual(a: QMat2, subgroup: str) -> float:
     if subgroup not in _PROBES:
         raise DomainError(f"unknown subgroup {subgroup!r}; expected one of {CENTRALIZER_SUBGROUPS}")
-    return max(((a @ p) - (p @ a)).max_norm() for p in _PROBES[subgroup]())
+    return nan_max([((a @ p) - (p @ a)).max_norm() for p in _PROBES[subgroup]()])
 
 
 def centralizer_check(a: QMat2, subgroup: str) -> tuple[bool, float]:
@@ -168,7 +161,8 @@ def is_real_matrix(a: QMat2) -> bool:
 
 
 def is_plus_minus_identity(a: QMat2) -> bool:
-    return min((a - identity()).max_norm(), (a + identity()).max_norm()) <= MEMBER_TOL
+    # two comparisons, not min(): min() drops a NaN that is not first
+    return (a - identity()).max_norm() <= MEMBER_TOL or (a + identity()).max_norm() <= MEMBER_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -237,42 +237,46 @@ def test_file_input(tmp_path, capsys, monkeypatch):
     assert code == 0 and out.startswith("PASS")
 
 
-def test_import_does_not_load_scipy():
-    # scipy is only needed by one verification oracle, so it is imported lazily
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import sys, sliceball, sliceball.cli; print('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+# Modules that no per-call command may load: numpy, the worker pool and the
+# star calculus come with verify, dataclasses with starpoly and verify, and
+# scipy only with the test suite's own oracles.
+NEVER_PER_CALL = {"numpy", "scipy", "multiprocessing", "dataclasses",
+                  "sliceball.verify", "sliceball.starpoly"}
+_MAT = mat_to_list(hyperbolic(0.5))
 
 
-def test_per_call_commands_load_neither_numpy_nor_verify():
-    # check, mobius, decompose and table are pure Python; numpy and the worker
-    # pool come with verify
+@pytest.mark.parametrize("argv, stdin, unused", [
+    (None, None, set()),
+    (["check", "--what", "sp11"], _MAT,
+     {"sliceball.lie", "sliceball.metrics", "sliceball.mobius"}),
+    (["check", "--what", "o11"], _MAT, {"sliceball.lie", "sliceball.metrics"}),
+    (["check", "--what", "centralizer:sp1I2"], _MAT,
+     {"sliceball.metrics", "sliceball.mobius"}),
+    (["mobius", "--kind", "regular"], {"matrix": _MAT, "point": [0.1, 0.2, 0, 0]},
+     {"sliceball.lie", "sliceball.metrics"}),
+    (["decompose", "--mode", "slice"], _MAT, {"sliceball.metrics", "sliceball.mobius"}),
+    (["decompose", "--mode", "symm"], _MAT, {"sliceball.metrics", "sliceball.mobius"}),
+    (["table", "--kind", "orbit", "--a", "[0.3,0,0,0]"], None, {"sliceball.lie"}),
+], ids=["import", "check-sp11", "check-o11", "check-centralizer", "mobius", "decompose-slice",
+        "decompose-symm", "table"])
+def test_each_command_loads_only_its_modules(argv, stdin, unused):
+    # each command runs in a fresh interpreter, since any module that one
+    # command loads would stay loaded for the next
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    mat = mat_to_list(hyperbolic(0.5))
-    runs = [(["check", "--what", "sp11"], mat), (["check", "--what", "o11"], mat),
-            (["mobius", "--kind", "regular"], {"matrix": mat, "point": [0.1, 0.2, 0, 0]}),
-            (["decompose", "--mode", "slice"], mat), (["decompose", "--mode", "symm"], mat),
-            (["table", "--kind", "orbit", "--a", "[0.3,0,0,0]"], None)]
     code = textwrap.dedent(f"""
         import io, json, sys
         import sliceball.cli
-        heavy = {{"numpy", "sliceball.verify", "multiprocessing"}}
-        loaded = [heavy & set(sys.modules)]
-        for argv, stdin in {runs!r}:
-            sys.stdin = io.StringIO(json.dumps(stdin))
-            assert sliceball.cli.main(argv) == 0, argv
-            loaded.append(heavy & set(sys.modules))
-        print(loaded, file=sys.stderr)
+        if {argv!r} is not None:
+            sys.stdin = io.StringIO(json.dumps({stdin!r}))
+            assert sliceball.cli.main({argv!r}) == 0
+        print(sorted(m for m in sys.modules if m in {sorted(NEVER_PER_CALL | unused)!r}),
+              file=sys.stderr)
         """)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip() == repr([set()] * (1 + len(runs)))
+    assert proc.stderr.strip() == "[]"
 
 
 def test_verify_does_not_load_scipy():
@@ -446,3 +450,41 @@ def test_table_rejects_a_point_rounded_onto_the_boundary(capsys, monkeypatch, ki
                                                    "--t-max=20", "--steps", "2"])
     assert code == 1 and out == ""
     assert "domain error" in err and "open ball" in err
+
+
+NAN_INPUTS = [
+    (["check", "--what", "algebra"], "[[[0,0,0,0],[0,0,0,0]],[[0,0,0,0],[0,NaN,0,0]]]"),
+    (["check", "--what", "centralizer:sp1x1"], "[[[1,0,0,0],[0,0,0,0]],[[0,0,0,0],[NaN,0,0,0]]]"),
+    (["check", "--what", "centralizer:sp1I2"], "[[[1,0,0,0],[0,0,0,0]],[[0,0,0,0],[NaN,0,0,0]]]"),
+]
+
+
+@pytest.mark.parametrize("argv, stdin", NAN_INPUTS, ids=["algebra", "sp1x1", "sp1I2"])
+@pytest.mark.parametrize("fmt", ["json", "human"])
+def test_a_nan_entry_fails_the_check(capsys, monkeypatch, argv, stdin, fmt):
+    # a NaN in the last entry was dropped by max() and the check passed with 0
+    code, out, err = run_cli(capsys, monkeypatch, argv + ["--format", fmt], stdin=stdin)
+    assert code == 1
+    assert out == "" if fmt == "json" else out.startswith("FAIL") and "nan" in out
+
+
+DEEP = "[" * 100000  # deeper than the interpreter's recursion limit
+
+
+@pytest.mark.parametrize("argv, source", [
+    (["check", "--what", "sp11"], "stdin"), (["check", "--what", "sp11"], "file"),
+    (["mobius"], "stdin"), (["mobius"], "file"),
+    (["decompose", "--mode", "symm"], "stdin"), (["decompose", "--mode", "slice"], "file"),
+    (["table", "--u", DEEP], None), (["table", "--kind", "orbit", "--a", DEEP], None),
+], ids=["check-stdin", "check-file", "mobius-stdin", "mobius-file", "decompose-stdin",
+        "decompose-file", "table-u", "table-a"])
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, monkeypatch, argv, source):
+    # json raises RecursionError here, which once ended in a traceback
+    if source == "file":
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP)
+        argv = argv + ["--file", str(path)]
+    code, out, err = run_cli(capsys, monkeypatch, argv,
+                             stdin=DEEP if source == "stdin" else None)
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "nested too deeply" in err

@@ -48,6 +48,23 @@ def test_adjoint_antiautomorphism():
         assert ((a @ b).adjoint() - b.adjoint() @ a.adjoint()).max_norm() <= 1e-12
 
 
+@pytest.mark.parametrize("entry", range(4))
+def test_max_norm_keeps_a_nan_at_every_entry(entry):
+    # the builtin max() drops a NaN that is not its first argument
+    entries = [Quaternion(1.0), ZERO, ZERO, Quaternion(2.0)]
+    entries[entry] = Quaternion(0.0, math.nan)
+    assert math.isnan(QMat2(*entries).max_norm())
+
+
+def test_max_norm_is_the_largest_entry_norm_bit_for_bit():
+    # max_norm takes one root of the largest squared norm
+    rng = make_rng(3)
+    for _ in range(200):
+        a = QMat2(*(Quaternion(*(rng.standard_normal(4) * 10.0 ** rng.integers(-160, 160, 4)))
+                    for _ in range(4)))
+        assert a.max_norm() == max(m.norm() for m in a.entries())
+
+
 def test_matmul_associative():
     rng = make_rng(1)
     for _ in range(20):

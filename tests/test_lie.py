@@ -195,6 +195,42 @@ def test_centralizer_examples():
         centralizer_check(identity(), "so3")
 
 
+@pytest.mark.parametrize("subgroup", ["sp1x1", "sp1I2", "sp1xsp1"])
+def test_centralizer_residual_keeps_a_nan(subgroup):
+    # a NaN in the last entry once left the commutators' max at 0 and passed
+    ok, residual = centralizer_check(diag(ONE, Quaternion(math.nan)), subgroup)
+    assert not ok and math.isnan(residual)
+
+
+def test_plus_minus_identity_rejects_a_nan():
+    from sliceball.lie import is_plus_minus_identity
+    assert is_plus_minus_identity(identity() * -1.0)
+    assert not is_plus_minus_identity(diag(ONE, Quaternion(math.nan)))
+
+
+def test_probes_cover_the_package_subgroups():
+    # the CLI offers the package's tuple without importing lie
+    import sliceball
+    from sliceball.lie import _PROBES
+    assert tuple(sorted(_PROBES)) == sliceball.CENTRALIZER_SUBGROUPS
+
+
+def test_records_are_immutable_values():
+    e = IsoGElement(u=I, t=0.5)
+    assert e == IsoGElement(I, 1, 0.5, 1) and (e.eps1, e.eps2) == (1, 1)
+    assert repr(e) == f"IsoGElement(u={I!r}, eps1=1, t=0.5, eps2=1)"
+    fact = SliceFactorization(I, J, ONE)
+    assert fact == SliceFactorization(u=I, x=J, v=ONE) != SliceFactorization(I, J, -ONE)
+    assert repr(fact) == f"SliceFactorization(u={I!r}, x={J!r}, v={ONE!r})"
+    for record, field in ((e, "t"), (fact, "x"), (SymmFactorization(I, J, ONE), "u")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, ONE)
+    with pytest.raises(DomainError):
+        IsoGElement(ONE, eps1=0)
+    with pytest.raises(DomainError):
+        IsoGElement(ONE, 1, 0.0, 2)
+
+
 def test_centralizer_matches_closed_forms():
     from sliceball.lie import (is_plus_minus_identity, is_real_matrix,
                                is_sign_times_unit_diag)
