@@ -51,10 +51,15 @@ def _emit(payload: dict, fmt: str, human_lines: list[str]) -> None:
             raise ConsistencyError(f"result is not finite: {payload!r}") from exc
         print(text)
     elif fmt == "csv":
-        keys = sorted(payload)
-        print(",".join(keys))
-        print(",".join(_fmt(payload[k]) if isinstance(payload[k], float) else str(payload[k])
-                       for k in keys))
+        row = {}
+        for key in sorted(payload):
+            value = payload[key]
+            if isinstance(value, list):  # a quaternion: one column per coordinate
+                row.update((f"{key}_{c}", _fmt(v)) for c, v in zip("wxyz", value))
+            else:
+                row[key] = _fmt(value) if isinstance(value, float) else str(value)
+        print(",".join(row))
+        print(",".join(row.values()))
     else:
         for line in human_lines:
             print(line)

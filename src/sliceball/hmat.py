@@ -1,6 +1,6 @@
 """2x2 quaternionic matrices, the group preserving the signature-(1,1) form, its Lie
 algebra with the diagonal/off-diagonal split, exponential maps, and the complex 4x4
-embedding used as an independent cross-check.
+embedding that the root finder and the verify oracles read.
 
 Entry convention for the whole package: the matrix is [[m11, m12], [m21, m22]] and a
 Mobius transformation reads its numerator column from (m11, m21) and its denominator
@@ -85,14 +85,15 @@ class QMat2:
 
 
 def nan_max(values) -> float:
-    """max() of a sequence of non-negative values, NaN when any value is NaN.
+    """max() of a sequence of non-negative values, NaN when any value is NaN or
+    when there is none.
 
     The builtin max() keeps its first argument when a comparison with NaN is
     false, so it drops a NaN that is not first. One sum detects a NaN: the
     values are never -inf, so the sum is NaN only when a value is.
     """
     total = sum(values)
-    return max(values) if total == total else math.nan
+    return max(values) if total == total and values else math.nan
 
 
 def identity() -> QMat2:
@@ -161,9 +162,8 @@ def column_scaled_norm(d: QMat2, a: QMat2) -> float:
     """
     s1 = max(1.0, math.hypot(a.m11.norm(), a.m21.norm()))
     s2 = max(1.0, math.hypot(a.m12.norm(), a.m22.norm()))
-    ratios = (d.m11.norm() / s1 / s1, d.m12.norm() / s1 / s2,
-              d.m21.norm() / s2 / s1, d.m22.norm() / s2 / s2)
-    return math.nan if any(map(math.isnan, ratios)) else max(ratios)
+    return nan_max((d.m11.norm() / s1 / s1, d.m12.norm() / s1 / s2,
+                    d.m21.norm() / s2 / s1, d.m22.norm() / s2 / s2))
 
 
 def ensure_sp11(a: QMat2) -> QMat2:
@@ -283,50 +283,21 @@ def exp_general(x: Sp11Algebra) -> QMat2:
 # ---------------------------------------------------------------------------
 # Complex 4x4 embedding.  A quaternion w + xi + yj + zk splits as the complex
 # pair (w + xi, y + zi); a quaternionic matrix Z + Wj embeds as the block
-# matrix [[Z, W], [-conj(W), conj(Z)]].
-
-def quat_complex_pair(q: Quaternion) -> tuple[complex, complex]:
-    return complex(q.w, q.x), complex(q.y, q.z)
-
+# matrix [[Z, W], [-conj(W), conj(Z)]].  The root finder reads eigenvectors
+# from it, and verify keeps it as an independent oracle.
 
 def psi_embed(a: QMat2) -> np.ndarray:
     import numpy as np
     z = np.empty((2, 2), dtype=complex)
     w = np.empty((2, 2), dtype=complex)
     for (i, j), m in (((0, 0), a.m11), ((0, 1), a.m12), ((1, 0), a.m21), ((1, 1), a.m22)):
-        z[i, j], w[i, j] = quat_complex_pair(m)
+        z[i, j], w[i, j] = complex(m.w, m.x), complex(m.y, m.z)
     out = np.empty((4, 4), dtype=complex)
     out[:2, :2] = z
     out[:2, 2:] = w
     out[2:, :2] = -w.conj()
     out[2:, 2:] = z.conj()
     return out
-
-
-def j2() -> np.ndarray:
-    """The image of j times the identity: [[0, I2], [-I2, 0]]."""
-    return psi_embed(scalar(Quaternion(0.0, 0.0, 1.0, 0.0)))
-
-
-def k11() -> np.ndarray:
-    """The image of diag(1, -1): diag(1, -1, 1, -1)."""
-    return psi_embed(i11())
-
-
-def rho(m: np.ndarray) -> np.ndarray:
-    """Conjugation by diag(1, i, 1, i), moving the embedded group onto its complex realization."""
-    import numpy as np
-    d = np.array([1.0, 1.0j, 1.0, 1.0j])
-    return (m * d[:, None]) * (1.0 / d)[None, :]
-
-
-def hat_sp11_residual(m: np.ndarray) -> float:
-    import numpy as np
-    k = k11()
-    j = j2()
-    r1 = np.abs(m.conj().T @ k @ m - k).max()
-    r2 = np.abs(m.T @ j @ m - j).max()
-    return float(np.maximum(r1, r2))  # unlike max(), np.maximum keeps a NaN
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ import math
 from typing import Callable
 
 from .errors import DomainError
+from .hmat import nan_max
 from .mobius import differential
-from .quat import ONE, Quaternion, as_quat, ensure_in_ball, make_rng
+from .quat import ONE, Quaternion, as_quat, ensure_in_ball
 
 UNIT_TOL = 1e-9  # how far | |u| - 1 | may stray for a table direction u
 
@@ -57,13 +58,12 @@ def slice_omega(q: Quaternion, alpha: Quaternion, beta: Quaternion) -> Quaternio
 
 
 def pullback_residual(fn: Callable[[Quaternion], Quaternion], metric: MetricFn,
-                      q: Quaternion, rng, trials: int = 8) -> float:
-    """Max over sampled tangent pairs of
+                      q: Quaternion, rng: np.random.Generator, trials: int = 8) -> float:
+    """Max over tangent pairs drawn from rng of
     |metric_q(alpha, beta) - metric_{fn(q)}(dfn alpha, dfn beta)|; NaN if any
-    difference is NaN or no pair was sampled. Raises DomainError, as every
+    difference is NaN or no pair was drawn. Raises DomainError, as every
     metric call does, when the metric rejects the image fn(q) (a NaN, or a
     point off the ball)."""
-    rng = make_rng(rng)
     q = as_quat(q)
     jac = differential(fn, q)
     image = fn(q)
@@ -76,7 +76,7 @@ def pullback_residual(fn: Callable[[Quaternion], Quaternion], metric: MetricFn,
         da = Quaternion(*(jac @ av))
         db = Quaternion(*(jac @ bv))
         diffs.append(abs(metric(q, alpha, beta) - metric(image, da, db)))
-    return math.nan if any(map(math.isnan, diffs)) else max(diffs, default=math.nan)
+    return nan_max(diffs)
 
 
 def symm_geodesic(u: Quaternion, a: Quaternion, t: float) -> Quaternion:
@@ -90,11 +90,6 @@ def symm_geodesic(u: Quaternion, a: Quaternion, t: float) -> Quaternion:
     u, a = as_quat(u), as_quat(a)
     tt = math.tanh(t)
     return (ONE + a * u.conj() * tt).inverse() * (a + u * tt)
-
-
-def slice_ray(u: Quaternion, t: float) -> Quaternion:
-    """tanh(t) u: the unit-speed slice-metric geodesic ray through the origin."""
-    return as_quat(u) * math.tanh(t)
 
 
 def geodesic_table(u: Quaternion, t_min: float, t_max: float, steps: int,

@@ -6,7 +6,8 @@ differentials, and the coset classification of real group elements.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from collections import namedtuple
+from typing import Callable
 
 from .errors import ConsistencyError, DomainError
 from .hmat import QMat2, ensure_sp11, hyperbolic, i11, sp11_check
@@ -110,10 +111,10 @@ def orientation_sign(fn: Callable[[Quaternion], Quaternion], q: Quaternion) -> f
     return float(np.sign(np.linalg.det(differential(fn, q))))
 
 
-class O11Parts(NamedTuple):
-    eps: int
-    reflected: bool  # True when the factorization ends in diag(1, -1)
-    t: float
+class O11Parts(namedtuple("O11Parts", "eps reflected t")):
+    """A = eps * H(t), times diag(1, -1) on the right when reflected."""
+
+    __slots__ = ()
 
 
 def o11_classify(a: QMat2) -> O11Parts:

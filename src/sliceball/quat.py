@@ -1,4 +1,4 @@
-"""Quaternion arithmetic, the unit sphere, imaginary units, slice coordinates, and seeded sampling."""
+"""Quaternion arithmetic, slice coordinates, the open-ball guard, and the JSON wire format."""
 
 from __future__ import annotations
 
@@ -6,9 +6,6 @@ import math
 import sys
 
 from .errors import DomainError
-
-# Absolute tolerance for membership predicates (unit norm, vanishing real part).
-MEMBER_TOL = 1e-12
 
 # Open-ball margin: ball points must satisfy |q| < 1 - BALL_MARGIN.  Guards
 # atanh and (1 - |q|^2)^-2 evaluations near the boundary.
@@ -173,10 +170,6 @@ def slice_split(q: Quaternion) -> tuple[float, float, Quaternion]:
     return q.w, y, Quaternion(0.0, q.x / y, q.y / y, q.z / y)
 
 
-def is_imaginary_unit(q: Quaternion, tol: float = MEMBER_TOL) -> bool:
-    return abs(q.w) <= tol and abs(q.norm() - 1.0) <= tol
-
-
 def ensure_in_ball(q: Quaternion, what: str, bound: float = 1.0, name: str = "q") -> None:
     """Raise DomainError("<what>, |<name>| = <norm>") unless |q| < bound; a NaN
     point fails the comparison and is rejected too."""
@@ -201,51 +194,3 @@ def quat_from_list(data) -> Quaternion:
         return Quaternion(*data)
     except OverflowError as exc:  # a JSON integer beyond the double range
         raise ValueError(f"coordinate out of the double range: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# Seeded sampling.  The generator is numpy's PCG64, which is stable across
-# platforms for a fixed seed.
-
-def make_rng(seed) -> np.random.Generator:
-    """Accept an int seed (or seed sequence material) or pass a Generator through."""
-    import numpy as np
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def sample_sphere3(rng) -> Quaternion:
-    """Uniform point on the unit 3-sphere of quaternions."""
-    rng = make_rng(rng)
-    v = rng.standard_normal(4)
-    n = math.sqrt(v.dot(v))  # bit for bit np.linalg.norm(v) of a 1-D float array
-    while n < 1e-12:  # pragma: no cover - probability ~0
-        v = rng.standard_normal(4)
-        n = math.sqrt(v.dot(v))
-    return Quaternion(v[0] / n, v[1] / n, v[2] / n, v[3] / n)
-
-
-def sample_imaginary_unit(rng) -> Quaternion:
-    """Uniform point on the 2-sphere of imaginary units."""
-    rng = make_rng(rng)
-    v = rng.standard_normal(3)
-    n = math.sqrt(v.dot(v))
-    while n < 1e-12:  # pragma: no cover
-        v = rng.standard_normal(3)
-        n = math.sqrt(v.dot(v))
-    return Quaternion(0.0, v[0] / n, v[1] / n, v[2] / n)
-
-
-def sample_ball(rng, radius: float = 1.0) -> Quaternion:
-    """Uniform point in the ball of the given radius (kept inside the open-ball margin)."""
-    rng = make_rng(rng)
-    u = sample_sphere3(rng)
-    r = radius * (1.0 - 2.0 * BALL_MARGIN) * float(rng.random()) ** 0.25
-    return u * r
-
-
-def sample_real_interval(rng) -> Quaternion:
-    """Uniform real quaternion in (-1, 1)."""
-    rng = make_rng(rng)
-    return Quaternion((1.0 - 2.0 * BALL_MARGIN) * (2.0 * float(rng.random()) - 1.0))

@@ -8,12 +8,11 @@ A polynomial is stored by its right coefficients: f(q) = sum_n q^n a_n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import DomainError
 from .hmat import QMat2, psi_embed
-from .quat import (BALL_MARGIN, ONE, ZERO, Quaternion, as_quat,
-                   is_imaginary_unit, slice_split)
+from .quat import BALL_MARGIN, ONE, ZERO, Quaternion, as_quat, slice_split
 
 
 class StarPoly:
@@ -45,17 +44,6 @@ class StarPoly:
 
     def coeff(self, n: int) -> Quaternion:
         return self.coeffs[n] if 0 <= n < len(self.coeffs) else ZERO
-
-    def __add__(self, other: "StarPoly") -> "StarPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return StarPoly([self.coeff(k) + other.coeff(k) for k in range(n)])
-
-    def __sub__(self, other: "StarPoly") -> "StarPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return StarPoly([self.coeff(k) - other.coeff(k) for k in range(n)])
-
-    def __neg__(self) -> "StarPoly":
-        return StarPoly([-c for c in self.coeffs])
 
     def __mul__(self, other: "StarPoly") -> "StarPoly":
         """Star product: coefficient convolution, left factor's coefficients first."""
@@ -93,10 +81,6 @@ def linear_map(a, b) -> StarPoly:
     return StarPoly([b, a])
 
 
-def constant(c) -> StarPoly:
-    return StarPoly([c])
-
-
 # ---------------------------------------------------------------------------
 # Root finding for degree <= 2 polynomials.
 
@@ -106,22 +90,17 @@ _SPHERE_TOL = 1e-7
 _MERGE_TOL = 1e-6
 
 
-@dataclass
-class RootReport:
-    """Zeros of a degree <= 2 polynomial: isolated points and whole spheres x + y*S."""
+class RootReport(namedtuple("RootReport", "points spheres", defaults=((), ()))):
+    """Zeros of a degree <= 2 polynomial: isolated points and whole spheres x + y*S,
+    each sphere given as its pair (x, y)."""
 
-    points: list[Quaternion] = field(default_factory=list)
-    spheres: list[tuple[float, float]] = field(default_factory=list)
+    __slots__ = ()
 
     def points_in_ball(self) -> list[Quaternion]:
         return [p for p in self.points if p.norm() < 1.0 - BALL_MARGIN]
 
     def spheres_in_ball(self) -> list[tuple[float, float]]:
         return [(x, y) for (x, y) in self.spheres if math.hypot(x, y) < 1.0 - BALL_MARGIN]
-
-    def any_in_closed_ball(self) -> bool:
-        return (any(p.norm() <= 1.0 for p in self.points)
-                or any(math.hypot(x, y) <= 1.0 for (x, y) in self.spheres))
 
 
 def quadratic_root_in_ball(p: StarPoly) -> RootReport:
@@ -142,7 +121,7 @@ def quadratic_root_in_ball(p: StarPoly) -> RootReport:
         raise DomainError(f"root finder needs degree 1 or 2, got degree {p.degree}")
     a0, a1, a2 = p.coeff(0), p.coeff(1), p.coeff(2)
     if p.degree == 1:
-        return RootReport(points=[-(a0 * a1.inverse())])
+        return RootReport(points=(-(a0 * a1.inverse()),))
 
     b, c = a1 * a2.inverse(), a0 * a2.inverse()
     x = -0.5 * b.w
@@ -151,7 +130,7 @@ def quadratic_root_in_ball(p: StarPoly) -> RootReport:
     # A sphere no wider than the merge tolerance is a double real zero.
     if (b.im_norm() <= real_tol and c.im_norm() <= real_tol
             and 4.0 * h > (_MERGE_TOL * (1.0 + abs(x))) ** 2):
-        return RootReport(spheres=[(x, math.sqrt(h))])
+        return RootReport(spheres=((x, math.sqrt(h)),))
 
     import numpy as np
     lead = a2.conj().inverse()
@@ -168,24 +147,19 @@ def quadratic_root_in_ball(p: StarPoly) -> RootReport:
                 break
         else:
             clusters.append([z])
-    return RootReport(points=[sum(cluster, ZERO) / len(cluster) for cluster in clusters])
+    return RootReport(points=tuple(sum(cluster, ZERO) / len(cluster) for cluster in clusters))
 
 
 # ---------------------------------------------------------------------------
 # Numerical slice-regularity residual.
 
-def regularity_residual(f, q: Quaternion, h: float = 1e-5, unit=None) -> float:
+def regularity_residual(f, q: Quaternion, h: float = 1e-5) -> float:
     """|(d/dx + I d/dy) f / 2| at q, by central differences along q's slice.
 
-    f is any callable on quaternions.  A real q uses the canonical slice unless
-    an explicit unit is supplied.  The residual of a slice regular map decays
-    as O(h^2).
+    f is any callable on quaternions.  A real q uses the canonical slice i.
+    The residual of a slice regular map decays as O(h^2).
     """
     x, y, i_unit = slice_split(q)
-    if unit is not None:
-        i_unit = as_quat(unit)
-        if not is_imaginary_unit(i_unit, 1e-9):
-            raise DomainError(f"supplied slice unit {i_unit!r} is not a unit imaginary")
     if h <= 0.0 or x + h == x or y + h == y:
         raise DomainError(f"finite-difference step {h!r} underflows at {q!r}")
 

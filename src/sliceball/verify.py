@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from collections import namedtuple
+from typing import Iterable, Iterator
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy loads it lazily; loaded here, forked workers share it
@@ -24,7 +24,7 @@ from . import SUITES, hmat, lie, mobius
 from .errors import ConsistencyError
 from .hmat import (QMat2, Sp11Algebra, diag, exp_general, exp_m, hyperbolic,
                    i11, i_eps, identity, lie_bracket, off_diag, psi_embed,
-                   rho, scalar, sp11_inverse, sp11_residual)
+                   scalar, sp11_inverse, sp11_residual)
 from .lie import (ISO_IDENTITY, IsoGElement, SliceFactorization,
                   SymmFactorization, centralizer_check, iso_g_act,
                   iso_g_inverse, iso_g_mul, orbit_invariant, slice_compose,
@@ -33,33 +33,24 @@ from .metrics import (poincare_g, pullback_residual, slice_g, slice_h,
                       slice_omega, symm_geodesic)
 from .mobius import (classical_apply, differential, f_au, f_au_matrix,
                      mobius_M, quotient_point, regular_apply)
-from .quat import (I, J, ONE, Quaternion, sample_ball, sample_imaginary_unit,
-                   sample_real_interval, sample_sphere3, sgn, slice_split)
+from .quat import BALL_MARGIN, I, J, ONE, Quaternion, sgn, slice_split
 from .starpoly import (StarPoly, linear_map, quadratic_root_in_ball, reg_conj,
                        regularity_residual, symmetrize)
 
 
-@dataclass
-class CheckResult:
-    name: str
-    suite: str
-    value: float
-    tol: float
-    op: str  # "<=" or ">="
-    passed: bool
-    trials: int
-    seconds: float
-    error: str | None = None  # "<ExcType>: <message>" when the check raised
+class CheckResult(namedtuple("CheckResult", "name suite value tol op passed trials seconds error",
+                             defaults=(None,))):
+    """One check's outcome: its worst residual `value` compared with `tol` by
+    `op` ("<=" or ">="); `error` is "<ExcType>: <message>" when the check raised."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CheckDef:
-    name: str
-    suite: str
-    fn: Callable[[np.random.Generator, int], Iterable[float]]
-    trials: int
-    tol: float
-    op: str = "<="
+class CheckDef(namedtuple("CheckDef", "name suite fn trials tol op", defaults=("<=",))):
+    """A registered check: `fn(rng, trials)` takes a numpy Generator and yields
+    one residual per comparison."""
+
+    __slots__ = ()
 
 
 # A check yields one residual per comparison it makes; run_check reduces them.
@@ -80,7 +71,40 @@ def _worst(values: Iterable[float], op: str) -> float:
 
 # ---------------------------------------------------------------------------
 # Samplers (desk scale: points stay clear of the boundary so finite differences
-# and atanh remain well conditioned).
+# and atanh remain well conditioned).  Each draws from a numpy Generator; PCG64
+# is stable across platforms for a fixed seed.
+
+def sample_sphere3(rng) -> Quaternion:
+    """Uniform point on the unit 3-sphere of quaternions."""
+    v = rng.standard_normal(4)
+    n = math.sqrt(v.dot(v))  # bit for bit np.linalg.norm(v) of a 1-D float array
+    while n < 1e-12:  # pragma: no cover - probability ~0
+        v = rng.standard_normal(4)
+        n = math.sqrt(v.dot(v))
+    return Quaternion(v[0] / n, v[1] / n, v[2] / n, v[3] / n)
+
+
+def sample_imaginary_unit(rng) -> Quaternion:
+    """Uniform point on the 2-sphere of imaginary units."""
+    v = rng.standard_normal(3)
+    n = math.sqrt(v.dot(v))
+    while n < 1e-12:  # pragma: no cover
+        v = rng.standard_normal(3)
+        n = math.sqrt(v.dot(v))
+    return Quaternion(0.0, v[0] / n, v[1] / n, v[2] / n)
+
+
+def sample_ball(rng, radius: float = 1.0) -> Quaternion:
+    """Uniform point in the ball of the given radius (kept inside the open-ball margin)."""
+    u = sample_sphere3(rng)
+    r = radius * (1.0 - 2.0 * BALL_MARGIN) * float(rng.random()) ** 0.25
+    return u * r
+
+
+def sample_real_interval(rng) -> Quaternion:
+    """Uniform real quaternion in (-1, 1)."""
+    return Quaternion((1.0 - 2.0 * BALL_MARGIN) * (2.0 * float(rng.random()) - 1.0))
+
 
 def _rand_quat(rng, scale: float = 1.0) -> Quaternion:
     return Quaternion(*(scale * rng.standard_normal(4)))
@@ -181,9 +205,33 @@ def check_psi_homomorphism(rng, trials: int) -> Residuals:
                     float(np.abs(psi_embed(a.adjoint()) - psi_embed(a).conj().T).max()))
 
 
+def _j2() -> np.ndarray:
+    """The image of j times the identity: [[0, I2], [-I2, 0]]."""
+    return psi_embed(scalar(J))
+
+
+def _k11() -> np.ndarray:
+    """The image of diag(1, -1): diag(1, -1, 1, -1)."""
+    return psi_embed(i11())
+
+
+def _rho(m: np.ndarray) -> np.ndarray:
+    """Conjugation by diag(1, i, 1, i), moving the embedded group onto its complex realization."""
+    d = np.array([1.0, 1.0j, 1.0, 1.0j])
+    return (m * d[:, None]) * (1.0 / d)[None, :]
+
+
+def _hat_sp11_residual(m: np.ndarray, k: np.ndarray, j: np.ndarray) -> float:
+    """How far m is from preserving both forms, k = _k11() and j = _j2()."""
+    r1 = np.abs(m.conj().T @ k @ m - k).max()
+    r2 = np.abs(m.T @ j @ m - j).max()
+    return float(np.maximum(r1, r2))  # unlike max(), np.maximum keeps a NaN
+
+
 def check_hat_membership(rng, trials: int) -> Residuals:
+    k, j = _k11(), _j2()
     for _ in range(trials):
-        yield hmat.hat_sp11_residual(rho(psi_embed(_rand_sp11(rng, 1.2))))
+        yield _hat_sp11_residual(_rho(psi_embed(_rand_sp11(rng, 1.2))), k, j)
 
 
 def check_sigma_automorphism(rng, trials: int) -> Residuals:

@@ -1,5 +1,7 @@
 """Exit codes, wire formats, and report determinism of the command line tool."""
 
+import ast
+import csv
 import io
 import json
 import math
@@ -196,6 +198,38 @@ def test_verify_csv_format(capsys, monkeypatch):
     assert header == "name,suite,value,tol,op,trials,pass"
 
 
+_GROUP = mat_to_list(diag(I, 1.0) @ exp_m(Quaternion(0.3, -0.2, 0.1, 0.4)))
+_DECOMPOSE_HEADER = ["X_w", "X_x", "X_y", "X_z", "residual",
+                     "u_w", "u_x", "u_y", "u_z", "v_w", "v_x", "v_y", "v_z"]
+
+
+@pytest.mark.parametrize("argv, stdin, header", [
+    (["mobius", "--kind", "classical"], {"matrix": _GROUP, "point": [0.1, 0.2, 0, -0.3]},
+     ["point_w", "point_x", "point_y", "point_z"]),
+    (["mobius", "--kind", "regular"], {"matrix": _GROUP, "point": [0.1, 0.2, 0, -0.3]},
+     ["point_w", "point_x", "point_y", "point_z"]),
+    (["decompose", "--mode", "symm"], _GROUP, _DECOMPOSE_HEADER),
+    (["decompose", "--mode", "slice"], _GROUP, _DECOMPOSE_HEADER),
+], ids=["mobius-classical", "mobius-regular", "decompose-symm", "decompose-slice"])
+def test_csv_writes_a_column_per_coordinate(capsys, monkeypatch, argv, stdin, header):
+    # a quaternion field spreads over one column per coordinate, and every
+    # value reads back as the json report's value
+    code, out, _ = run_cli(capsys, monkeypatch, argv + ["--format", "csv"],
+                           stdin=json.dumps(stdin))
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 2 and rows[0] == header and len(rows[1]) == len(header)
+    _, out, _ = run_cli(capsys, monkeypatch, argv + ["--format", "json"],
+                        stdin=json.dumps(stdin))
+    want = {}
+    for key, value in json.loads(out).items():
+        if isinstance(value, list):
+            want.update((f"{key}_{c}", v) for c, v in zip("wxyz", value))
+        else:
+            want[key] = value
+    assert dict(zip(rows[0], map(float, rows[1]))) == want
+
+
 def test_table_geodesic(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, monkeypatch,
                            ["table", "--kind", "geodesic", "--t-min", "-2",
@@ -238,8 +272,8 @@ def test_file_input(tmp_path, capsys, monkeypatch):
 
 
 # Modules that no per-call command may load: numpy, the worker pool and the
-# star calculus come with verify, dataclasses with starpoly and verify, and
-# scipy only with the test suite's own oracles.
+# star calculus come with verify, scipy only with the test suite's own
+# oracles, and no module of the package imports dataclasses.
 NEVER_PER_CALL = {"numpy", "scipy", "multiprocessing", "dataclasses",
                   "sliceball.verify", "sliceball.starpoly"}
 _MAT = mat_to_list(hyperbolic(0.5))
@@ -277,6 +311,33 @@ def test_each_command_loads_only_its_modules(argv, stdin, unused):
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.strip() == "[]"
+
+
+def _numpy_imports(node, where="<module>"):
+    """Yield the enclosing function name of every import of numpy below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _numpy_imports(child, child.name)
+            continue
+        if isinstance(child, ast.Import):
+            modules = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            modules = [child.module or ""]
+        else:
+            modules = []
+        if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+            yield where
+        yield from _numpy_imports(child, where)
+
+
+def test_numpy_is_imported_only_where_the_readme_lists_it():
+    # the cold-start paragraph of the README names each of these
+    package = Path(__file__).resolve().parents[1] / "src" / "sliceball"
+    found = {(path.stem, where) for path in package.glob("*.py")
+             for where in _numpy_imports(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == {("verify", "<module>"), ("hmat", "psi_embed"),
+                     ("mobius", "differential"), ("mobius", "orientation_sign"),
+                     ("starpoly", "quadratic_root_in_ball")}
 
 
 def test_verify_does_not_load_scipy():

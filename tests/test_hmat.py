@@ -9,12 +9,12 @@ import scipy.linalg
 
 from sliceball import verify
 from sliceball.errors import DomainError
-from sliceball.hmat import (GROUP_TOL, QMat2, Sp11Algebra, algebra_check,
-                            algebra_residual, diag, exp_general, exp_m,
-                            hat_sp11_residual, hyperbolic, i11, identity, j2, k11,
+from sliceball.hmat import (QMat2, Sp11Algebra, algebra_check, algebra_residual,
+                            diag, exp_general, exp_m, hyperbolic, i11, identity,
                             lie_bracket, mat_from_list, mat_to_list, off_diag,
-                            psi_embed, rho, sigma, sp11_check, sp11_inverse)
-from sliceball.quat import I, J, K, ONE, ZERO, Quaternion, make_rng, sample_sphere3
+                            psi_embed, sigma, sp11_check, sp11_inverse)
+from sliceball.quat import I, J, K, ONE, ZERO, Quaternion
+from sliceball.verify import sample_sphere3
 
 
 def qexp(q: Quaternion) -> Quaternion:
@@ -41,7 +41,7 @@ def test_mat_ops_examples():
 
 
 def test_adjoint_antiautomorphism():
-    rng = make_rng(0)
+    rng = np.random.default_rng(0)
     for _ in range(20):
         a = QMat2(*(Quaternion(*rng.standard_normal(4)) for _ in range(4)))
         b = QMat2(*(Quaternion(*rng.standard_normal(4)) for _ in range(4)))
@@ -58,7 +58,7 @@ def test_max_norm_keeps_a_nan_at_every_entry(entry):
 
 def test_max_norm_is_the_largest_entry_norm_bit_for_bit():
     # max_norm takes one root of the largest squared norm
-    rng = make_rng(3)
+    rng = np.random.default_rng(3)
     for _ in range(200):
         a = QMat2(*(Quaternion(*(rng.standard_normal(4) * 10.0 ** rng.integers(-160, 160, 4)))
                     for _ in range(4)))
@@ -66,7 +66,7 @@ def test_max_norm_is_the_largest_entry_norm_bit_for_bit():
 
 
 def test_matmul_associative():
-    rng = make_rng(1)
+    rng = np.random.default_rng(1)
     for _ in range(20):
         a, b, c = (QMat2(*(Quaternion(*rng.standard_normal(4)) for _ in range(4)))
                    for _ in range(3))
@@ -94,7 +94,8 @@ def test_sp11_inverse_examples():
     assert sp11_inverse(i11()) == i11()
     t = 0.7
     assert (sp11_inverse(hyperbolic(t)) - hyperbolic(-t)).max_norm() <= 1e-15
-    a = diag(sample_sphere3(make_rng(2)), sample_sphere3(make_rng(3))) @ exp_m(I * 0.4)
+    a = diag(sample_sphere3(np.random.default_rng(2)),
+             sample_sphere3(np.random.default_rng(3))) @ exp_m(I * 0.4)
     assert (a @ sp11_inverse(a) - identity()).max_norm() <= 1e-14
     with pytest.raises(DomainError):
         sp11_inverse(diag(1.0, 2.0))
@@ -164,7 +165,7 @@ def test_exp_general_diagonal_reduces_to_quaternion_exp():
 
 def test_eig_oracle_agrees_with_scipy_expm():
     # the exp-psi-oracle check must measure exp_general, not its own error
-    rng = make_rng(40)
+    rng = np.random.default_rng(40)
     worst = 0.0
     for _ in range(2000):
         m = psi_embed(verify._rand_alg(rng, 0.6).as_matrix())
@@ -174,14 +175,10 @@ def test_eig_oracle_agrees_with_scipy_expm():
 
 def test_psi_examples():
     assert np.abs(psi_embed(identity()) - np.eye(4)).max() == 0.0
-    jq = Quaternion(0, 0, 1, 0)
-    assert np.abs(psi_embed(QMat2(jq, 0.0, 0.0, jq)) - j2()).max() == 0.0
-    kmat = k11()
-    assert np.abs(kmat @ kmat - np.eye(4)).max() == 0.0
 
 
 def test_psi_monomorphism():
-    rng = make_rng(4)
+    rng = np.random.default_rng(4)
     for _ in range(20):
         a = QMat2(*(Quaternion(*rng.standard_normal(4)) for _ in range(4)))
         b = QMat2(*(Quaternion(*rng.standard_normal(4)) for _ in range(4)))
@@ -189,14 +186,8 @@ def test_psi_monomorphism():
         assert np.abs(psi_embed(a.adjoint()) - psi_embed(a).conj().T).max() <= 1e-12
 
 
-def test_hat_check_examples():
-    assert hat_sp11_residual(rho(psi_embed(identity()))) <= GROUP_TOL
-    assert hat_sp11_residual(rho(psi_embed(hyperbolic(1.0)))) <= GROUP_TOL
-    assert not hat_sp11_residual(2.0 * np.eye(4)) <= GROUP_TOL
-
-
 def test_exp_psi_oracle():
-    rng = make_rng(5)
+    rng = np.random.default_rng(5)
     for _ in range(20):
         x = Sp11Algebra(Quaternion(0, *rng.standard_normal(3)),
                         Quaternion(0, *rng.standard_normal(3)),
@@ -207,7 +198,7 @@ def test_exp_psi_oracle():
 
 
 def test_group_closure():
-    rng = make_rng(6)
+    rng = np.random.default_rng(6)
     for _ in range(30):
         a = diag(sample_sphere3(rng), sample_sphere3(rng)) @ exp_m(
             sample_sphere3(rng) * float(rng.random()))

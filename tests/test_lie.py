@@ -15,7 +15,8 @@ from sliceball.lie import (ISO_IDENTITY, IsoGElement,
                            slice_compose, slice_decompose, symm_compose,
                            symm_decompose)
 from sliceball.mobius import differential, quotient_point
-from sliceball.quat import I, J, ONE, Quaternion, make_rng, sample_ball, sample_sphere3
+from sliceball.quat import I, J, ONE, Quaternion
+from sliceball.verify import sample_ball, sample_sphere3
 
 
 def test_symm_decompose_examples():
@@ -25,7 +26,7 @@ def test_symm_decompose_examples():
     assert (fact.v - ONE).norm() <= 1e-14
     assert (fact.x - q).norm() <= 1e-14
 
-    u, v = sample_sphere3(make_rng(41)), sample_sphere3(make_rng(42))
+    u, v = sample_sphere3(np.random.default_rng(41)), sample_sphere3(np.random.default_rng(42))
     fact = symm_decompose(diag(u, v))
     assert (fact.u - u).norm() <= 1e-14 and (fact.v - v).norm() <= 1e-14
     assert fact.x.norm() <= 1e-14
@@ -51,7 +52,7 @@ def test_slice_decompose_examples():
     assert (fact.x - q).norm() <= 1e-12
     assert (fact.v - ONE).norm() <= 1e-12
 
-    v = sample_sphere3(make_rng(43))
+    v = sample_sphere3(np.random.default_rng(43))
     fact = slice_decompose(scalar(v))
     assert (fact.u - ONE).norm() <= 1e-12
     assert fact.x.norm() <= 1e-12
@@ -60,14 +61,14 @@ def test_slice_decompose_examples():
 
 def test_slice_compose_examples():
     assert slice_compose(SliceFactorization(ONE, Quaternion(), ONE)) == identity()
-    u = sample_sphere3(make_rng(44))
+    u = sample_sphere3(np.random.default_rng(44))
     assert (slice_compose(SliceFactorization(u, Quaternion(), ONE)) - diag(u, ONE)).max_norm() == 0.0
     got = slice_compose(SliceFactorization(ONE, I * 0.3, J))
     assert (got - exp_m(I * 0.3) @ scalar(J)).max_norm() == 0.0
 
 
 def test_roundtrips_both_ways():
-    rng = make_rng(45)
+    rng = np.random.default_rng(45)
     for _ in range(50):
         u, v = sample_sphere3(rng), sample_sphere3(rng)
         x = sample_sphere3(rng) * (1.2 * float(rng.random()))
@@ -109,7 +110,7 @@ def test_scaled_gate_still_rejects_non_members(a):
 @pytest.mark.parametrize("r", [3.0, 4.0, 7.5, 12.0, 20.0])
 def test_decompositions_far_from_the_identity(r):
     # both factorizations are global: built factors come back at any orbit distance
-    rng = make_rng(int(10 * r))
+    rng = np.random.default_rng(int(10 * r))
     u, v, w = sample_sphere3(rng), sample_sphere3(rng), sample_sphere3(rng)
     x = w * r
     a = slice_compose(SliceFactorization(u, x, v))
@@ -125,7 +126,7 @@ def test_decompositions_far_from_the_identity(r):
 def test_iso_act_examples():
     q = Quaternion(0.2, 0.1, -0.3, 0.05)
     assert iso_g_act(ISO_IDENTITY, q) == q
-    u = sample_sphere3(make_rng(46))
+    u = sample_sphere3(np.random.default_rng(46))
     got = iso_g_act(IsoGElement(u), q)
     assert (got - u * q * u.conj()).norm() <= 1e-15
     t = 0.7
@@ -141,7 +142,7 @@ def test_iso_mul_examples():
     prod = iso_g_mul(e1, e2)
     assert prod.eps1 == 1 and abs(prod.t - 1.0) <= 1e-15
 
-    e = IsoGElement(sample_sphere3(make_rng(47)), -1, 0.8, -1)
+    e = IsoGElement(sample_sphere3(np.random.default_rng(47)), -1, 0.8, -1)
     assert iso_g_mul(e, ISO_IDENTITY) == e
     left = iso_g_mul(ISO_IDENTITY, e)
     assert (left.u - e.u).norm() == 0.0 and left.eps1 == e.eps1 and left.t == e.t
@@ -153,7 +154,7 @@ def test_iso_mul_examples():
 
 
 def test_iso_action_axiom():
-    rng = make_rng(48)
+    rng = np.random.default_rng(48)
     for _ in range(50):
         e1 = IsoGElement(sample_sphere3(rng), 1 if rng.random() < 0.5 else -1,
                          2.0 * float(rng.random()) - 1.0, 1 if rng.random() < 0.5 else -1)
@@ -166,7 +167,7 @@ def test_iso_action_axiom():
 
 
 def test_iso_ineffective_kernel():
-    rng = make_rng(49)
+    rng = np.random.default_rng(49)
     for _ in range(30):
         u = sample_sphere3(rng)
         e = IsoGElement(u, 1, 0.9, 1)
@@ -176,7 +177,7 @@ def test_iso_ineffective_kernel():
 
 
 def test_iso_orientation():
-    rng = make_rng(50)
+    rng = np.random.default_rng(50)
     for eps2, sign in ((1, 1.0), (-1, -1.0)):
         e = IsoGElement(sample_sphere3(rng), -1, 0.6, eps2)
         q = sample_ball(rng, 0.5)
@@ -185,7 +186,7 @@ def test_iso_orientation():
 
 
 def test_centralizer_examples():
-    u = sample_sphere3(make_rng(51))
+    u = sample_sphere3(np.random.default_rng(51))
     assert centralizer_check(diag(Quaternion(-1.0), u), "sp1x1")[0]
     assert centralizer_check(hyperbolic(0.7), "sp1I2")[0]
     assert not centralizer_check(diag(I, ONE), "sp1x1")[0]
@@ -234,7 +235,7 @@ def test_records_are_immutable_values():
 def test_centralizer_matches_closed_forms():
     from sliceball.lie import (is_plus_minus_identity, is_real_matrix,
                                is_sign_times_unit_diag)
-    rng = make_rng(52)
+    rng = np.random.default_rng(52)
     for _ in range(40):
         u, v = sample_sphere3(rng), sample_sphere3(rng)
         x = sample_sphere3(rng) * float(rng.random())
@@ -252,7 +253,7 @@ def test_orbit_invariant_examples():
 
 
 def test_orbit_invariant_under_action():
-    rng = make_rng(53)
+    rng = np.random.default_rng(53)
     base = J * 0.3
     for _ in range(60):
         e = IsoGElement(sample_sphere3(rng), 1 if rng.random() < 0.5 else -1,
@@ -262,7 +263,7 @@ def test_orbit_invariant_under_action():
 
 
 def test_orbit_invariant_conjugation_symmetry():
-    rng = make_rng(54)
+    rng = np.random.default_rng(54)
     for _ in range(40):
         q = sample_ball(rng, 0.85)
         y = orbit_invariant(q)
@@ -272,7 +273,7 @@ def test_orbit_invariant_conjugation_symmetry():
 
 
 def test_quotient_and_translations_generate_isometries():
-    rng = make_rng(55)
+    rng = np.random.default_rng(55)
     for _ in range(20):
         a = diag(sample_sphere3(rng), sample_sphere3(rng)) @ exp_m(
             sample_sphere3(rng) * float(rng.random()))

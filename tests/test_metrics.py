@@ -8,10 +8,10 @@ import pytest
 from sliceball.errors import DomainError
 from sliceball.hmat import exp_m, hyperbolic, i11
 from sliceball.metrics import (geodesic_table, poincare_g, pullback_residual,
-                               slice_g, slice_h, slice_omega, slice_ray,
-                               symm_geodesic)
+                               slice_g, slice_h, slice_omega, symm_geodesic)
 from sliceball.mobius import classical_apply, mobius_M, regular_apply
-from sliceball.quat import I, J, ONE, Quaternion, make_rng, sample_ball, sample_sphere3
+from sliceball.quat import I, J, ONE, Quaternion
+from sliceball.verify import sample_ball, sample_sphere3
 
 
 def test_poincare_examples():
@@ -31,7 +31,7 @@ def test_slice_h_examples():
 
 
 def test_h_decomposes_into_g_plus_omega():
-    rng = make_rng(31)
+    rng = np.random.default_rng(31)
     for _ in range(40):
         q = sample_ball(rng, 0.7)
         alpha = Quaternion(*rng.standard_normal(4))
@@ -49,7 +49,7 @@ def test_metrics_differ_off_slice():
 
 
 def test_slice_g_in_slice_reduces_to_hyperbolic():
-    rng = make_rng(32)
+    rng = np.random.default_rng(32)
     for _ in range(40):
         unit = Quaternion(0, *(rng.standard_normal(3)))
         unit = unit / unit.norm()
@@ -64,14 +64,14 @@ def test_slice_g_in_slice_reduces_to_hyperbolic():
 
 
 def test_pullback_identity_map():
-    rng = make_rng(33)
+    rng = np.random.default_rng(33)
     q = sample_ball(rng, 0.5)
     assert pullback_residual(lambda p: p, slice_g, q, rng) <= 1e-9
     assert pullback_residual(lambda p: p, poincare_g, q, rng) <= 1e-9
 
 
 def test_pullback_residual_keeps_a_nan():
-    rng = make_rng(34)
+    rng = np.random.default_rng(34)
     q = sample_ball(rng, 0.5)
     assert math.isnan(pullback_residual(lambda p: p, lambda *args: math.nan, q, rng))
     # NaN on some tangent pairs only
@@ -86,7 +86,7 @@ def test_pullback_residual_keeps_a_nan():
 
 
 def test_poincare_invariant_under_group():
-    rng = make_rng(34)
+    rng = np.random.default_rng(34)
     from sliceball.hmat import diag
     for _ in range(20):
         a = diag(sample_sphere3(rng), sample_sphere3(rng)) @ exp_m(
@@ -97,7 +97,7 @@ def test_poincare_invariant_under_group():
 
 
 def test_slice_g_invariant_under_regular_centering():
-    rng = make_rng(35)
+    rng = np.random.default_rng(35)
     for _ in range(20):
         q = sample_ball(rng, 0.7)
         mat = mobius_M(q)
@@ -107,7 +107,7 @@ def test_slice_g_invariant_under_regular_centering():
 
 
 def test_geodesic_examples():
-    u = sample_sphere3(make_rng(36))
+    u = sample_sphere3(np.random.default_rng(36))
     t = 1.0
     assert (symm_geodesic(u, Quaternion(), t) - u * math.tanh(t)).norm() <= 1e-15
     a = Quaternion(0.3, 0.2, 0, 0.1)
@@ -116,7 +116,7 @@ def test_geodesic_examples():
 
 
 def test_geodesic_reversal_through_origin():
-    rng = make_rng(37)
+    rng = np.random.default_rng(37)
     for _ in range(20):
         u = sample_sphere3(rng)
         t = 3.0 * float(rng.random()) - 1.5
@@ -125,7 +125,7 @@ def test_geodesic_reversal_through_origin():
 
 
 def test_geodesic_matches_hyperbolic_action():
-    rng = make_rng(38)
+    rng = np.random.default_rng(38)
     for _ in range(20):
         a = sample_ball(rng, 0.7)
         t = 2.0 * float(rng.random()) - 1.0
@@ -133,16 +133,18 @@ def test_geodesic_matches_hyperbolic_action():
 
 
 def test_slice_ray():
-    assert slice_ray(I, 0.0).norm() == 0.0
-    assert (slice_ray(I, 1.0) - I * math.tanh(1.0)).norm() == 0.0
+    # the slice-metric geodesic ray tanh(t) u is the orbit through the origin
+    assert symm_geodesic(I, Quaternion(), 0.0).norm() == 0.0
+    assert (symm_geodesic(I, Quaternion(), 1.0) - I * math.tanh(1.0)).norm() == 0.0
 
 
 def test_slice_ray_unit_speed():
     # finite-difference velocity of the ray has slice-metric length 1
     h = 1e-6
     for t in (-1.2, -0.3, 0.0, 0.7, 1.5):
-        p = slice_ray(I, t)
-        v = (slice_ray(I, t + h) - slice_ray(I, t - h)) / (2 * h)
+        p = symm_geodesic(I, Quaternion(), t)
+        v = (symm_geodesic(I, Quaternion(), t + h)
+             - symm_geodesic(I, Quaternion(), t - h)) / (2 * h)
         speed = slice_g(p, v, v)
         assert abs(speed - 1.0) <= 1e-8
 
@@ -163,7 +165,7 @@ def test_geodesic_table():
 def test_geodesic_table_t_column_is_linspace():
     # the t column is np.linspace(t_min, t_max, steps) bit for bit, signed zeros
     # and a step that underflows included
-    rng = make_rng(60)
+    rng = np.random.default_rng(60)
     cases = [(float(lo), float(hi), int(n)) for lo, hi, n in
              zip(rng.uniform(-5, 5, 200), rng.uniform(-5, 5, 200), rng.integers(2, 200, 200))]
     cases += [(3.0, -2.0, 7), (0.7, 0.7, 4), (-0.0, -0.0, 3), (0.0, -0.0, 3), (-0.0, 1.0, 5),

@@ -12,8 +12,9 @@ from sliceball.hmat import QMat2, diag, exp_m, hyperbolic, i11, identity, sp11_i
 from sliceball.mobius import (classical_apply, differential, f_au,
                               f_au_matrix, mobius_M, o11_classify, o11_compose,
                               orientation_sign, quotient_point, regular_apply)
-from sliceball.quat import I, ONE, ZERO, Quaternion, make_rng, sample_ball, sample_sphere3, sgn
+from sliceball.quat import I, ONE, ZERO, Quaternion, sgn
 from sliceball.starpoly import linear_map, reg_conj, symmetrize
+from sliceball.verify import sample_ball, sample_sphere3
 
 
 def test_classical_examples():
@@ -31,7 +32,7 @@ def test_classical_rejects_boundary():
 
 
 def test_regular_examples():
-    rng = make_rng(21)
+    rng = np.random.default_rng(21)
     a = sample_ball(rng, 0.9)
     assert regular_apply(mobius_M(a), a).norm() <= 1e-14
     q = sample_ball(rng, 0.9)
@@ -56,7 +57,7 @@ def _bits(q: Quaternion) -> bytes:
 
 
 def test_regular_apply_is_the_star_product_form_exactly():
-    rng = make_rng(31)
+    rng = np.random.default_rng(31)
     for k in range(500):
         a = diag(sample_sphere3(rng), sample_sphere3(rng)) @ exp_m(sample_sphere3(rng),
                                                                   3.0 * float(rng.random()))
@@ -80,7 +81,7 @@ def test_mobius_M_examples():
     a = math.tanh(1.0)
     assert (mobius_M(Quaternion(a)) - exp_m(Quaternion(-1.0))).max_norm() <= 1e-14
     assert (mobius_M(Quaternion(a)) - hyperbolic(-1.0)).max_norm() <= 1e-14
-    rng = make_rng(23)
+    rng = np.random.default_rng(23)
     b = sample_ball(rng, 0.9)
     assert (mobius_M(b) @ mobius_M(-b) - identity()).max_norm() <= 1e-14
     assert (mobius_M(b) - exp_m(-sgn(b) * math.atanh(b.norm()))).max_norm() <= 1e-14
@@ -91,7 +92,7 @@ def test_mobius_M_examples():
 
 
 def test_f_au_examples():
-    u = sample_sphere3(make_rng(24))
+    u = sample_sphere3(np.random.default_rng(24))
     q = Quaternion(0.1, 0.2, -0.3, 0.05)
     assert (f_au(0.0, u, q) - q * u).norm() == 0.0
     assert f_au(0.5, u, Quaternion(0.5)).norm() <= 1e-16
@@ -102,7 +103,7 @@ def test_f_au_examples():
 
 
 def test_f_au_matrix_coincidence():
-    rng = make_rng(25)
+    rng = np.random.default_rng(25)
     for _ in range(30):
         a = 1.8 * float(rng.random()) - 0.9
         u = sample_sphere3(rng)
@@ -115,7 +116,7 @@ def test_f_au_matrix_coincidence():
 
 def test_quotient_point_examples():
     assert quotient_point(identity()).norm() == 0.0
-    rng = make_rng(26)
+    rng = np.random.default_rng(26)
     a = sample_ball(rng, 0.9)
     assert (quotient_point(sp11_inverse(mobius_M(a))) - a).norm() <= 1e-12
     q = sample_sphere3(rng) * 0.7
@@ -125,7 +126,7 @@ def test_quotient_point_examples():
 
 def test_quotient_point_near_diagonal():
     # tiny displacements from a diagonal matrix must come back at full precision
-    rng = make_rng(29)
+    rng = np.random.default_rng(29)
     for mag in (1e-3, 1e-6, 1e-9, 1e-11):
         u, v = sample_sphere3(rng), sample_sphere3(rng)
         q = sample_sphere3(rng) * mag
@@ -158,7 +159,7 @@ def test_differential_step_underflow():
 
 
 def test_anti_homomorphism_and_inverse():
-    rng = make_rng(27)
+    rng = np.random.default_rng(27)
     for _ in range(25):
         a = diag(sample_sphere3(rng), sample_sphere3(rng)) @ exp_m(
             sample_sphere3(rng) * (0.8 * float(rng.random())))
@@ -180,7 +181,7 @@ def test_o11_classify_examples():
 
 
 def test_o11_classify_roundtrip():
-    rng = make_rng(28)
+    rng = np.random.default_rng(28)
     for _ in range(40):
         t = 4.0 * float(rng.random()) - 2.0
         eps = 1 if rng.random() < 0.5 else -1

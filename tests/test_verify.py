@@ -209,7 +209,7 @@ def test_a_check_that_yields_nothing_fails(op, failing):
 # The worker pool: the same results as one check at a time, in registry order.
 
 def _without_seconds(results):
-    return [dict(vars(r), seconds=None) for r in results]
+    return [r._replace(seconds=None) for r in results]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -242,3 +242,20 @@ def test_one_usable_cpu_runs_the_checks_in_process(monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     assert _without_seconds(verify.run_checks("all", seed=5, trials=5)) == _without_seconds(pooled)
+
+
+# The embedding oracle of hat-membership.
+
+def test_hat_check_examples():
+    j, k = verify._j2(), verify._k11()
+    jq = Quaternion(0, 0, 1, 0)
+    assert np.abs(hmat.psi_embed(hmat.QMat2(jq, 0.0, 0.0, jq)) - j).max() == 0.0
+    assert np.abs(j @ j + np.eye(4)).max() == 0.0
+    assert np.array_equal(k, np.diag([1.0, -1.0, 1.0, -1.0]))
+
+    def hat(a):
+        return verify._hat_sp11_residual(verify._rho(hmat.psi_embed(a)), k, j)
+
+    assert hat(hmat.identity()) <= hmat.GROUP_TOL
+    assert hat(hmat.hyperbolic(1.0)) <= hmat.GROUP_TOL
+    assert not verify._hat_sp11_residual(2.0 * np.eye(4), k, j) <= hmat.GROUP_TOL
