@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import CENTRALIZER_SUBGROUPS, SUITES
-from .errors import ConsistencyError, DomainError, PoleError
+from .errors import ConsistencyError, DomainError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -263,16 +263,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:  # includes DomainError and malformed structures
+    except ValueError as exc:  # includes DomainError, malformed JSON and structures
         if isinstance(exc, DomainError):
             print(f"domain error: {exc}", file=sys.stderr)
             return EXIT_FAIL
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ConsistencyError, PoleError) as exc:
+    except ConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

@@ -51,9 +51,6 @@ class QMat2:
         return QMat2(self.m11 - other.m11, self.m12 - other.m12,
                      self.m21 - other.m21, self.m22 - other.m22)
 
-    def __neg__(self) -> "QMat2":
-        return QMat2(-self.m11, -self.m12, -self.m21, -self.m22)
-
     def __mul__(self, scalar) -> "QMat2":
         if isinstance(scalar, (int, float)):
             return QMat2(self.m11 * scalar, self.m12 * scalar,
@@ -124,7 +121,6 @@ def i_eps(eps: int) -> QMat2:
 
 def scalar(v) -> QMat2:
     """v times the identity matrix."""
-    v = as_quat(v)
     return QMat2(v, ZERO, ZERO, v)
 
 
@@ -239,17 +235,16 @@ def lie_bracket(x: Sp11Algebra, y: Sp11Algebra) -> Sp11Algebra:
 # ---------------------------------------------------------------------------
 # Exponential maps.
 
-def exp_m(q: Quaternion, t: float = 1.0) -> QMat2:
-    """Closed-form exponential of the off-diagonal element with block t*q.
+def exp_m(q: Quaternion) -> QMat2:
+    """Closed-form exponential of the off-diagonal element with block q.
 
-    exp [[0, conj(tq)], [tq, 0]] = [[cosh r, sinh r conj(u)], [sinh r u, cosh r]]
-    with r = |tq| and u = sgn(tq).
+    exp [[0, conj(q)], [q, 0]] = [[cosh r, sinh r conj(u)], [sinh r u, cosh r]]
+    with r = |q| and u = sgn(q).
     """
-    v = q * t
-    r = v.norm()
+    r = q.norm()
     if r == 0.0:
         return identity()
-    u = sgn(v)
+    u = sgn(q)
     c, s = math.cosh(r), math.sinh(r)
     return QMat2(c, u.conj() * s, u * s, c)
 

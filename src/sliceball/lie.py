@@ -9,16 +9,14 @@ from collections import namedtuple
 
 from . import CENTRALIZER_SUBGROUPS
 from .errors import ConsistencyError, DomainError
-from .hmat import QMat2, column_scaled_norm, diag, ensure_sp11, exp_m, identity, nan_max, scalar
-from .quat import (BALL_MARGIN, I, ONE, Quaternion, as_quat, ensure_in_ball, quat_to_list,
-                   sgn, slice_split)
+from .hmat import QMat2, column_scaled_norm, diag, ensure_sp11, exp_m, nan_max, scalar
+from .quat import (BALL_MARGIN, I, ONE, Quaternion, ensure_in_ball, quat_to_list, sgn,
+                   slice_split)
 
 # Recomposition tolerance for both factorizations, relative to A's column scales.
 DECOMP_TOL = 1e-9
 # Commutation tolerance defining the centralizer predicates.
 CENTRALIZER_TOL = 1e-12
-# Entry tolerance of the closed-form membership predicates.
-MEMBER_TOL = 1e-9
 
 
 # Records are named tuples: immutable and compared by value, and importing
@@ -100,7 +98,6 @@ ISO_IDENTITY = IsoGElement(ONE, 1, 0.0, 1)
 
 
 def iso_g_act(e: IsoGElement, q: Quaternion) -> Quaternion:
-    q = as_quat(q)
     ensure_in_ball(q, "isometries act on the open ball")
     if e.eps2 == -1:
         q = q.conj()
@@ -145,26 +142,6 @@ def centralizer_check(a: QMat2, subgroup: str) -> tuple[bool, float]:
     return r <= CENTRALIZER_TOL, r
 
 
-# Closed-form membership predicates matching the centralizer computations.
-
-def is_sign_times_unit_diag(a: QMat2) -> bool:
-    """diag(eps, u) with eps = +-1 and u a unit quaternion."""
-    if a.m12.norm() > MEMBER_TOL or a.m21.norm() > MEMBER_TOL:
-        return False
-    if a.m11.im_norm() > MEMBER_TOL or abs(abs(a.m11.w) - 1.0) > MEMBER_TOL:
-        return False
-    return abs(a.m22.norm() - 1.0) <= MEMBER_TOL
-
-
-def is_real_matrix(a: QMat2) -> bool:
-    return all(m.im_norm() <= MEMBER_TOL for m in a.entries())
-
-
-def is_plus_minus_identity(a: QMat2) -> bool:
-    # two comparisons, not min(): min() drops a NaN that is not first
-    return (a - identity()).max_norm() <= MEMBER_TOL or (a + identity()).max_norm() <= MEMBER_TOL
-
-
 # ---------------------------------------------------------------------------
 # Orbit classification: every ball point lies on a unique isometry orbit, indexed
 # by the y >= 0 at which the orbit crosses the imaginary axis (0 on the real axis).
@@ -175,7 +152,6 @@ def orbit_invariant(q: Quaternion) -> float:
     The hyperbolic translations move x + y0*i along tau^2 x + tau (1+x^2+y0^2) + x = 0;
     the root tau in (-1, 1) carries the point onto the imaginary axis.
     """
-    q = as_quat(q)
     ensure_in_ball(q, "orbit invariant needs an interior point", 1.0 - BALL_MARGIN)
     x, y0, _ = slice_split(q)
     if y0 == 0.0:

@@ -10,7 +10,7 @@ from typing import Callable
 from .errors import DomainError
 from .hmat import nan_max
 from .mobius import differential
-from .quat import ONE, Quaternion, as_quat, ensure_in_ball
+from .quat import ONE, Quaternion, ensure_in_ball
 
 UNIT_TOL = 1e-9  # how far | |u| - 1 | may stray for a table direction u
 
@@ -19,7 +19,6 @@ MetricFn = Callable[[Quaternion, Quaternion, Quaternion], float]
 
 def poincare_g(q: Quaternion, alpha: Quaternion, beta: Quaternion) -> float:
     """Re(alpha conj(beta)) / (1 - |q|^2)^2."""
-    q, alpha, beta = as_quat(q), as_quat(alpha), as_quat(beta)
     ensure_in_ball(q, "the metrics are defined on the open ball")
     den = 1.0 - q.norm_sq()
     return (alpha * beta.conj()).w / (den * den)
@@ -34,7 +33,6 @@ def slice_h(q: Quaternion, alpha: Quaternion, beta: Quaternion) -> Quaternion:
     """Quaternion-valued Hermitian form
     (1-q^2)^-1 (alpha - q alpha q) conj(beta - q beta q) (1-conj(q)^2)^-1 / (1-|q|^2)^2.
     """
-    q, alpha, beta = as_quat(q), as_quat(alpha), as_quat(beta)
     ensure_in_ball(q, "the metrics are defined on the open ball")
     left = (ONE - q * q).inverse()
     right = (ONE - q.conj() * q.conj()).inverse()
@@ -45,7 +43,6 @@ def slice_h(q: Quaternion, alpha: Quaternion, beta: Quaternion) -> Quaternion:
 def slice_g(q: Quaternion, alpha: Quaternion, beta: Quaternion) -> float:
     """Real part of the Hermitian form:
     Re((alpha - q alpha q) conj(beta - q beta q)) / (|1-q^2|^2 (1-|q|^2)^2)."""
-    q, alpha, beta = as_quat(q), as_quat(alpha), as_quat(beta)
     ensure_in_ball(q, "the metrics are defined on the open ball")
     num = (_twisted(q, alpha) * _twisted(q, beta).conj()).w
     den = (ONE - q * q).norm_sq() * (1.0 - q.norm_sq()) ** 2
@@ -64,7 +61,6 @@ def pullback_residual(fn: Callable[[Quaternion], Quaternion], metric: MetricFn,
     difference is NaN or no pair was drawn. Raises DomainError, as every
     metric call does, when the metric rejects the image fn(q) (a NaN, or a
     point off the ball)."""
-    q = as_quat(q)
     jac = differential(fn, q)
     image = fn(q)
     diffs = []
@@ -87,7 +83,6 @@ def symm_geodesic(u: Quaternion, a: Quaternion, t: float) -> Quaternion:
     constant Poincare distance from the line tanh(s) u, and is a geodesic only when
     a lies on that line.
     """
-    u, a = as_quat(u), as_quat(a)
     tt = math.tanh(t)
     return (ONE + a * u.conj() * tt).inverse() * (a + u * tt)
 
@@ -97,10 +92,9 @@ def geodesic_table(u: Quaternion, t_min: float, t_max: float, steps: int,
     """Sample rows (t, point) of the orbit through a (origin geodesic when a is 0)."""
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
-    u = as_quat(u)
     if not abs(u.norm() - 1.0) <= UNIT_TOL:  # also rejects NaN and infinity
         raise DomainError(f"orbit direction must be a unit quaternion, |u| = {u.norm()!r}")
-    base = as_quat(a) if a is not None else Quaternion()
+    base = a if a is not None else Quaternion()
     ensure_in_ball(base, "orbit base point must lie in the open ball", name="a")
     t_min, t_max = float(t_min), float(t_max)
     if not (math.isfinite(t_min) and math.isfinite(t_max)):

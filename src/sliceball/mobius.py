@@ -10,8 +10,8 @@ from collections import namedtuple
 from typing import Callable
 
 from .errors import ConsistencyError, DomainError
-from .hmat import QMat2, ensure_sp11, hyperbolic, i11, sp11_check
-from .quat import ONE, Quaternion, as_quat, ensure_in_ball
+from .hmat import QMat2, ensure_sp11, sp11_check
+from .quat import ONE, Quaternion, ensure_in_ball
 
 # Default central-difference step: balances O(h^2) truncation against cancellation.
 FD_STEP = 1e-5
@@ -22,7 +22,6 @@ def classical_apply(a: QMat2, q: Quaternion) -> Quaternion:
 
     Composition is an anti-homomorphism: applying A then B equals applying A @ B.
     """
-    q = as_quat(q)
     ensure_in_ball(q, "classical Mobius maps blow up outside the ball")
     den = q * a.m12 + a.m22
     if den.norm() == 0.0:
@@ -41,7 +40,6 @@ def regular_apply(a: QMat2, q: Quaternion) -> Quaternion:
     the result rounds exactly as the star-product form that the
     regular-star-oracle check keeps.
     """
-    q = as_quat(q)
     ensure_in_ball(q, "regular Mobius maps are defined on the ball")
     m11, m12, m21, m22 = a.m11, a.m12, a.m21, a.m22
     c12, c22 = m12.conj(), m22.conj()
@@ -54,7 +52,6 @@ def regular_apply(a: QMat2, q: Quaternion) -> Quaternion:
 
 def mobius_M(a: Quaternion) -> QMat2:
     """M(a) = [[1, -conj(a)], [-a, 1]] / sqrt(1 - |a|^2); inverse is M(-a)."""
-    a = as_quat(a)
     ensure_in_ball(a, "M(a) needs a point of the open ball", name="a")
     s = 1.0 / math.sqrt(1.0 - a.norm_sq())
     return QMat2(ONE * s, a.conj() * -s, a * -s, ONE * s)
@@ -65,13 +62,12 @@ def f_au(a: float, u: Quaternion, q: Quaternion) -> Quaternion:
     a = float(a)
     if not -1.0 < a < 1.0:
         raise DomainError(f"parameter a must be real in (-1, 1), got {a!r}")
-    q = as_quat(q)
     return (ONE - q * a).inverse() * (q - a) * u
 
 
 def f_au_matrix(a: float, u: Quaternion) -> QMat2:
     """The group matrix whose classical action is f_au: M(a) followed by right multiplication by u."""
-    return mobius_M(a) @ QMat2(u, 0.0, 0.0, 1.0)
+    return mobius_M(Quaternion(a)) @ QMat2(u, 0.0, 0.0, 1.0)
 
 
 def quotient_point(a: QMat2) -> Quaternion:
@@ -88,7 +84,6 @@ def differential(fn: Callable[[Quaternion], Quaternion], q: Quaternion,
                  h: float = FD_STEP) -> np.ndarray:
     """Central-difference Jacobian of a ball map in (w, x, y, z) coordinates."""
     import numpy as np
-    q = as_quat(q)
     coords = [q.w, q.x, q.y, q.z]
     if h <= 0.0 or any(c + h == c for c in coords):
         raise DomainError(f"finite-difference step {h!r} underflows at {q!r}")
@@ -103,12 +98,6 @@ def differential(fn: Callable[[Quaternion], Quaternion], q: Quaternion,
         d = (fp - fm) / (2.0 * h)
         jac[:, col] = (d.w, d.x, d.y, d.z)
     return jac
-
-
-def orientation_sign(fn: Callable[[Quaternion], Quaternion], q: Quaternion) -> float:
-    """Sign of the Jacobian determinant at q."""
-    import numpy as np
-    return float(np.sign(np.linalg.det(differential(fn, q))))
 
 
 class O11Parts(namedtuple("O11Parts", "eps reflected t")):
@@ -131,10 +120,3 @@ def o11_classify(a: QMat2) -> O11Parts:
     eps = 1 if a11 > 0.0 else -1
     reflected = (a22 > 0.0) != (a11 > 0.0)
     return O11Parts(eps, reflected, math.asinh(eps * a21))
-
-
-def o11_compose(parts: O11Parts) -> QMat2:
-    out = hyperbolic(parts.t) * float(parts.eps)
-    if parts.reflected:
-        out = out @ i11()
-    return out

@@ -95,17 +95,11 @@ class Quaternion:
     def norm(self) -> float:
         return math.sqrt(self.norm_sq())
 
-    def __abs__(self) -> float:
-        return self.norm()
-
     def inverse(self) -> "Quaternion":
         n2 = self.norm_sq()
         if n2 == 0.0:
             raise DomainError("inverse of the zero quaternion")
         return _q(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
-
-    def re(self) -> float:
-        return self.w
 
     def im(self) -> "Quaternion":
         return _q(0.0, self.x, self.y, self.z)
@@ -137,7 +131,10 @@ K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
 def as_quat(v) -> Quaternion:
-    """Coerce a real number into a quaternion; pass quaternions through."""
+    """Coerce a real number into a quaternion; pass quaternions through.
+
+    Only the container constructors (QMat2, Sp11Algebra, StarPoly) promote a
+    real entry; every function parameter takes a Quaternion as given."""
     if type(v) is Quaternion or isinstance(v, Quaternion):
         return v
     return Quaternion(float(v))

@@ -59,7 +59,6 @@ class StarPoly:
 
     def eval(self, q: Quaternion) -> Quaternion:
         """Pointwise value of sum q^n a_n (Horner, powers multiply from the left)."""
-        q = as_quat(q)
         acc = ZERO
         for c in reversed(self.coeffs):
             acc = q * acc + c

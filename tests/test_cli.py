@@ -313,31 +313,53 @@ def test_each_command_loads_only_its_modules(argv, stdin, unused):
     assert proc.stderr.strip() == "[]"
 
 
-def _numpy_imports(node, where="<module>"):
-    """Yield the enclosing function name of every import of numpy below node."""
+def _sites(node, match, where="<module>"):
+    """Yield the enclosing [Class.]function name of every node below node that
+    match accepts."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _numpy_imports(child, child.name)
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = child.name if where == "<module>" else f"{where}.{child.name}"
+            yield from _sites(child, match, name)
             continue
-        if isinstance(child, ast.Import):
-            modules = [alias.name for alias in child.names]
-        elif isinstance(child, ast.ImportFrom):
-            modules = [child.module or ""]
-        else:
-            modules = []
-        if any(m == "numpy" or m.startswith("numpy.") for m in modules):
+        if match(child):
             yield where
-        yield from _numpy_imports(child, where)
+        yield from _sites(child, match, where)
+
+
+def _package_sites(match):
+    """The (module, enclosing name) pairs of src/sliceball where match accepts a node."""
+    package = Path(__file__).resolve().parents[1] / "src" / "sliceball"
+    return {(path.stem, where) for path in package.glob("*.py")
+            for where in _sites(ast.parse(path.read_text(encoding="utf-8")), match)}
+
+
+def _imports_numpy(node):
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        modules = [node.module or ""]
+    else:
+        return False
+    return any(m == "numpy" or m.startswith("numpy.") for m in modules)
 
 
 def test_numpy_is_imported_only_where_the_readme_lists_it():
     # the cold-start paragraph of the README names each of these
-    package = Path(__file__).resolve().parents[1] / "src" / "sliceball"
-    found = {(path.stem, where) for path in package.glob("*.py")
-             for where in _numpy_imports(ast.parse(path.read_text(encoding="utf-8")))}
-    assert found == {("verify", "<module>"), ("hmat", "psi_embed"),
-                     ("mobius", "differential"), ("mobius", "orientation_sign"),
-                     ("starpoly", "quadratic_root_in_ball")}
+    assert _package_sites(_imports_numpy) == {
+        ("verify", "<module>"), ("hmat", "psi_embed"), ("mobius", "differential"),
+        ("starpoly", "quadratic_root_in_ball")}
+
+
+def test_only_the_container_constructors_promote_a_real():
+    # the README's scalar-core contract: a quaternion parameter takes a
+    # Quaternion as given, and only these constructors accept a real entry
+    def calls_as_quat(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "as_quat")
+
+    assert _package_sites(calls_as_quat) == {
+        ("hmat", "QMat2.__init__"), ("hmat", "Sp11Algebra.__init__"),
+        ("starpoly", "StarPoly.__init__")}
 
 
 def test_verify_does_not_load_scipy():

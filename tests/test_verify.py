@@ -244,6 +244,17 @@ def test_one_usable_cpu_runs_the_checks_in_process(monkeypatch):
     assert _without_seconds(verify.run_checks("all", seed=5, trials=5)) == _without_seconds(pooled)
 
 
+def test_a_negative_seed_is_rejected_before_any_worker_starts(monkeypatch):
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+
+    def no_fork():
+        raise AssertionError("started a child process")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(ValueError, match="seed"):
+        verify.run_checks("orbits", seed=-1)
+
+
 # The embedding oracle of hat-membership.
 
 def test_hat_check_examples():
