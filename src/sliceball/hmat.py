@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .quat import ONE, ZERO, Quaternion, as_quat, sgn
+from .quat import ONE, ZERO, Quaternion, sgn
 
 # Residual thresholds: the group membership check is quadratic in the entries,
 # the algebra check is exactly linear.
@@ -21,15 +21,15 @@ ALGEBRA_TOL = 1e-12
 
 
 class QMat2:
-    """2x2 matrix with quaternion entries."""
+    """2x2 matrix with quaternion entries, stored as given."""
 
     __slots__ = ("m11", "m12", "m21", "m22")
 
-    def __init__(self, m11, m12, m21, m22):
-        self.m11 = as_quat(m11)
-        self.m12 = as_quat(m12)
-        self.m21 = as_quat(m21)
-        self.m22 = as_quat(m22)
+    def __init__(self, m11: Quaternion, m12: Quaternion, m21: Quaternion, m22: Quaternion):
+        self.m11 = m11
+        self.m12 = m12
+        self.m21 = m21
+        self.m22 = m22
 
     def __repr__(self) -> str:
         return f"QMat2({self.m11!r}, {self.m12!r}, {self.m21!r}, {self.m22!r})"
@@ -93,22 +93,20 @@ def nan_max(values) -> float:
     return max(values) if total == total and values else math.nan
 
 
-def identity() -> QMat2:
-    return QMat2(ONE, ZERO, ZERO, ONE)
-
-
-def diag(p, q) -> QMat2:
+def diag(p: Quaternion, q: Quaternion) -> QMat2:
     return QMat2(p, ZERO, ZERO, q)
 
 
-def i11() -> QMat2:
-    """The indefinite form diag(1, -1)."""
-    return diag(1.0, -1.0)
+# Constant matrices are values and, like quat.ONE, are never mutated.
+IDENTITY = diag(ONE, ONE)
+# The indefinite form diag(1, -1); Quaternion(-1.0) rather than -ONE, whose
+# imaginary parts are -0.0.
+I11 = diag(ONE, Quaternion(-1.0))
 
 
 def hyperbolic(t: float) -> QMat2:
     """H(t) = [[cosh t, sinh t], [sinh t, cosh t]], the hyperbolic rotations."""
-    c, s = math.cosh(t), math.sinh(t)
+    c, s = Quaternion(math.cosh(t)), Quaternion(math.sinh(t))
     return QMat2(c, s, s, c)
 
 
@@ -116,10 +114,10 @@ def i_eps(eps: int) -> QMat2:
     """diag(1, eps) for eps in {+1, -1}."""
     if eps not in (1, -1):
         raise DomainError(f"eps must be +1 or -1, got {eps!r}")
-    return diag(1.0, float(eps))
+    return diag(ONE, Quaternion(eps))
 
 
-def scalar(v) -> QMat2:
+def scalar(v: Quaternion) -> QMat2:
     """v times the identity matrix."""
     return QMat2(v, ZERO, ZERO, v)
 
@@ -132,7 +130,7 @@ def _sp11_defect(a: QMat2) -> QMat2:
 
     diag(1,-1) @ A is A with its second row negated, which is exact.
     """
-    return a.adjoint() @ QMat2(a.m11, a.m12, -a.m21, -a.m22) - i11()
+    return a.adjoint() @ QMat2(a.m11, a.m12, -a.m21, -a.m22) - I11
 
 
 def sp11_residual(a: QMat2) -> float:
@@ -179,8 +177,7 @@ def ensure_sp11(a: QMat2) -> QMat2:
 def sp11_inverse(a: QMat2) -> QMat2:
     """Group inverse via the defining identity: A^-1 = diag(1,-1) adjoint(A) diag(1,-1)."""
     ensure_sp11(a)
-    k = i11()
-    return k @ a.adjoint() @ k
+    return I11 @ a.adjoint() @ I11
 
 
 def sigma(a: QMat2) -> QMat2:
@@ -197,10 +194,10 @@ class Sp11Algebra:
 
     __slots__ = ("p", "q", "a")
 
-    def __init__(self, p, q, a):
-        self.p = as_quat(p)
-        self.q = as_quat(q)
-        self.a = as_quat(a)
+    def __init__(self, p: Quaternion, q: Quaternion, a: Quaternion):
+        self.p = p
+        self.q = q
+        self.a = a
         if abs(self.p.w) > ALGEBRA_TOL or abs(self.q.w) > ALGEBRA_TOL:
             raise DomainError("diagonal parts of an algebra element must be imaginary")
 
@@ -211,14 +208,13 @@ class Sp11Algebra:
         return QMat2(self.p, self.a.conj(), self.a, self.q)
 
 
-def off_diag(a) -> Sp11Algebra:
+def off_diag(a: Quaternion) -> Sp11Algebra:
     """The off-diagonal algebra element [[0, conj(a)], [a, 0]]."""
     return Sp11Algebra(ZERO, ZERO, a)
 
 
 def algebra_residual(x: QMat2) -> float:
-    k = i11()
-    return (x.adjoint() @ k + k @ x).max_norm()
+    return (x.adjoint() @ I11 + I11 @ x).max_norm()
 
 
 def algebra_check(x: QMat2) -> tuple[bool, float]:
@@ -243,9 +239,9 @@ def exp_m(q: Quaternion) -> QMat2:
     """
     r = q.norm()
     if r == 0.0:
-        return identity()
+        return IDENTITY
     u = sgn(q)
-    c, s = math.cosh(r), math.sinh(r)
+    c, s = Quaternion(math.cosh(r)), math.sinh(r)
     return QMat2(c, u.conj() * s, u * s, c)
 
 
@@ -265,8 +261,7 @@ def exp_general(x: Sp11Algebra) -> QMat2:
     if n > _EXP_SCALE_LIMIT:
         squarings = max(0, math.ceil(math.log2(n / _EXP_SCALE_LIMIT)))
         m = m * (0.5 ** squarings)
-    total = identity()
-    term = identity()
+    total = term = IDENTITY
     for k in range(1, _EXP_TERMS + 1):
         term = (term @ m) * (1.0 / k)
         total = total + term
@@ -297,12 +292,6 @@ def psi_embed(a: QMat2) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # JSON wire format.
-
-def mat_to_list(a: QMat2) -> list:
-    from .quat import quat_to_list
-    return [[quat_to_list(a.m11), quat_to_list(a.m12)],
-            [quat_to_list(a.m21), quat_to_list(a.m22)]]
-
 
 def mat_from_list(data) -> QMat2:
     from .quat import quat_from_list

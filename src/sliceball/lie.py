@@ -10,7 +10,7 @@ from collections import namedtuple
 from . import CENTRALIZER_SUBGROUPS
 from .errors import ConsistencyError, DomainError
 from .hmat import QMat2, column_scaled_norm, diag, ensure_sp11, exp_m, nan_max, scalar
-from .quat import (BALL_MARGIN, I, ONE, Quaternion, ensure_in_ball, quat_to_list, sgn,
+from .quat import (BALL_MARGIN, I, J, ONE, Quaternion, ensure_in_ball, quat_to_list, sgn,
                    slice_split)
 
 # Recomposition tolerance for both factorizations, relative to A's column scales.
@@ -124,17 +124,15 @@ def iso_g_inverse(e: IsoGElement) -> IsoGElement:
 # ---------------------------------------------------------------------------
 # Centralizer predicates, by commutation against a generating probe set.
 
-_PROBES = {
-    "sp1x1": lambda: [diag(I, ONE), diag(Quaternion(0, 0, 1, 0), ONE)],
-    "sp1I2": lambda: [scalar(I), scalar(Quaternion(0, 0, 1, 0))],
-}
-_PROBES["sp1xsp1"] = lambda: _PROBES["sp1x1"]() + _PROBES["sp1I2"]()
+# Built once; like ISO_IDENTITY the probes are values and are never mutated.
+_PROBES = {"sp1x1": (diag(I, ONE), diag(J, ONE)), "sp1I2": (scalar(I), scalar(J))}
+_PROBES["sp1xsp1"] = _PROBES["sp1x1"] + _PROBES["sp1I2"]
 
 
 def centralizer_residual(a: QMat2, subgroup: str) -> float:
     if subgroup not in _PROBES:
         raise DomainError(f"unknown subgroup {subgroup!r}; expected one of {CENTRALIZER_SUBGROUPS}")
-    return nan_max([((a @ p) - (p @ a)).max_norm() for p in _PROBES[subgroup]()])
+    return nan_max([((a @ p) - (p @ a)).max_norm() for p in _PROBES[subgroup]])
 
 
 def centralizer_check(a: QMat2, subgroup: str) -> tuple[bool, float]:

@@ -49,11 +49,6 @@ def slice_g(q: Quaternion, alpha: Quaternion, beta: Quaternion) -> float:
     return num / den
 
 
-def slice_omega(q: Quaternion, alpha: Quaternion, beta: Quaternion) -> Quaternion:
-    """Imaginary part of the Hermitian form (the two-form values)."""
-    return slice_h(q, alpha, beta).im()
-
-
 def pullback_residual(fn: Callable[[Quaternion], Quaternion], metric: MetricFn,
                       q: Quaternion, rng: np.random.Generator, trials: int = 8) -> float:
     """Max over tangent pairs drawn from rng of

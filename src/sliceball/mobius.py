@@ -10,7 +10,7 @@ from collections import namedtuple
 from typing import Callable
 
 from .errors import ConsistencyError, DomainError
-from .hmat import QMat2, ensure_sp11, sp11_check
+from .hmat import QMat2, diag, ensure_sp11, sp11_check
 from .quat import ONE, Quaternion, ensure_in_ball
 
 # Default central-difference step: balances O(h^2) truncation against cancellation.
@@ -67,7 +67,7 @@ def f_au(a: float, u: Quaternion, q: Quaternion) -> Quaternion:
 
 def f_au_matrix(a: float, u: Quaternion) -> QMat2:
     """The group matrix whose classical action is f_au: M(a) followed by right multiplication by u."""
-    return mobius_M(Quaternion(a)) @ QMat2(u, 0.0, 0.0, 1.0)
+    return mobius_M(Quaternion(a)) @ diag(u, ONE)
 
 
 def quotient_point(a: QMat2) -> Quaternion:

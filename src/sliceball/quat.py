@@ -27,8 +27,6 @@ class Quaternion:
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, float)):
-            other = Quaternion(other)
         if not isinstance(other, Quaternion):
             return NotImplemented
         return (self.w, self.x, self.y, self.z) == (other.w, other.x, other.y, other.z)
@@ -128,16 +126,6 @@ ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-
-def as_quat(v) -> Quaternion:
-    """Coerce a real number into a quaternion; pass quaternions through.
-
-    Only the container constructors (QMat2, Sp11Algebra, StarPoly) promote a
-    real entry; every function parameter takes a Quaternion as given."""
-    if type(v) is Quaternion or isinstance(v, Quaternion):
-        return v
-    return Quaternion(float(v))
 
 
 def sgn(q: Quaternion) -> Quaternion:

@@ -12,16 +12,17 @@ from collections import namedtuple
 
 from .errors import DomainError
 from .hmat import QMat2, psi_embed
-from .quat import BALL_MARGIN, ONE, ZERO, Quaternion, as_quat, slice_split
+from .quat import BALL_MARGIN, ONE, ZERO, Quaternion, slice_split
 
 
 class StarPoly:
-    """Polynomial sum_n q^n a_n with quaternion coefficients on the right."""
+    """Polynomial sum_n q^n a_n with quaternion coefficients on the right, stored
+    as given once trailing zeros are stripped."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [as_quat(c) for c in coeffs]
+        cs = list(coeffs)
         while cs and cs[-1] == ZERO:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -75,7 +76,7 @@ def symmetrize(f: StarPoly) -> StarPoly:
     return f * reg_conj(f)
 
 
-def linear_map(a, b) -> StarPoly:
+def linear_map(a: Quaternion, b: Quaternion) -> StarPoly:
     """The degree-one map q -> q a + b."""
     return StarPoly([b, a])
 

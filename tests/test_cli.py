@@ -15,8 +15,14 @@ import pytest
 
 from sliceball import verify
 from sliceball.cli import main
-from sliceball.hmat import diag, exp_m, hyperbolic, i11, identity, mat_to_list
-from sliceball.quat import I, Quaternion, quat_to_list
+from sliceball.hmat import I11, IDENTITY, diag, exp_m, hyperbolic
+from sliceball.quat import I, ONE, Quaternion, quat_to_list
+
+
+def mat_to_list(a):
+    """The CLI wire format of a matrix: a 2x2 array of [w, x, y, z] quaternions."""
+    return [[quat_to_list(a.m11), quat_to_list(a.m12)],
+            [quat_to_list(a.m21), quat_to_list(a.m22)]]
 
 
 def run_cli(capsys, monkeypatch, argv, stdin=None):
@@ -29,14 +35,14 @@ def run_cli(capsys, monkeypatch, argv, stdin=None):
 
 def test_check_identity_passes(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, monkeypatch, ["check", "--what", "sp11"],
-                           stdin=json.dumps(mat_to_list(identity())))
+                           stdin=json.dumps(mat_to_list(IDENTITY)))
     assert code == 0
     assert out.startswith("PASS sp11 residual=0")
 
 
 def test_check_nonmember_fails(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, monkeypatch, ["check", "--what", "sp11"],
-                           stdin=json.dumps(mat_to_list(diag(1.0, 2.0))))
+                           stdin=json.dumps(mat_to_list(diag(ONE, Quaternion(2.0)))))
     assert code == 1
     assert out.startswith("FAIL")
 
@@ -80,7 +86,7 @@ def test_check_o11_reports_parts(capsys, monkeypatch):
 
 def test_mobius_negation(capsys, monkeypatch):
     q = Quaternion(0.1, 0.2, -0.3, 0.05)
-    payload = {"matrix": mat_to_list(i11()), "point": quat_to_list(q)}
+    payload = {"matrix": mat_to_list(I11), "point": quat_to_list(q)}
     code, out, _ = run_cli(capsys, monkeypatch,
                            ["mobius", "--kind", "classical", "--format", "json"],
                            stdin=json.dumps(payload))
@@ -102,7 +108,7 @@ def test_mobius_regular_centering(capsys, monkeypatch):
 
 
 def test_mobius_rejects_nonmember(capsys, monkeypatch):
-    payload = {"matrix": mat_to_list(diag(1.0, 2.0)), "point": [0, 0, 0, 0]}
+    payload = {"matrix": mat_to_list(diag(ONE, Quaternion(2.0))), "point": [0, 0, 0, 0]}
     code, _, err = run_cli(capsys, monkeypatch, ["mobius"], stdin=json.dumps(payload))
     assert code == 1 and "not in the group" in err
 
@@ -119,7 +125,7 @@ def test_mobius_rejects_a_tiny_column_beside_a_huge_one(capsys, monkeypatch):
 def test_decompose_symm_identity(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, monkeypatch,
                            ["decompose", "--mode", "symm", "--format", "json"],
-                           stdin=json.dumps(mat_to_list(identity())))
+                           stdin=json.dumps(mat_to_list(IDENTITY)))
     assert code == 0
     payload = json.loads(out)
     assert payload["u"] == [1.0, 0.0, 0.0, 0.0]
@@ -140,7 +146,7 @@ def test_decompose_slice(capsys, monkeypatch):
 
 def test_decompose_rejects_nonmember(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch, ["decompose", "--mode", "symm"],
-                           stdin=json.dumps(mat_to_list(diag(1.0, 2.0))))
+                           stdin=json.dumps(mat_to_list(diag(ONE, Quaternion(2.0)))))
     assert code == 1
 
 
@@ -198,7 +204,7 @@ def test_verify_csv_format(capsys, monkeypatch):
     assert header == "name,suite,value,tol,op,trials,pass"
 
 
-_GROUP = mat_to_list(diag(I, 1.0) @ exp_m(Quaternion(0.3, -0.2, 0.1, 0.4)))
+_GROUP = mat_to_list(diag(I, ONE) @ exp_m(Quaternion(0.3, -0.2, 0.1, 0.4)))
 _DECOMPOSE_HEADER = ["X_w", "X_x", "X_y", "X_z", "residual",
                      "u_w", "u_x", "u_y", "u_z", "v_w", "v_x", "v_y", "v_z"]
 
@@ -265,7 +271,7 @@ def test_table_rejects_bad_steps(capsys, monkeypatch):
 
 def test_file_input(tmp_path, capsys, monkeypatch):
     path = tmp_path / "mat.json"
-    path.write_text(json.dumps(mat_to_list(identity())))
+    path.write_text(json.dumps(mat_to_list(IDENTITY)))
     code, out, _ = run_cli(capsys, monkeypatch,
                            ["check", "--what", "sp11", "--file", str(path)])
     assert code == 0 and out.startswith("PASS")
@@ -350,16 +356,15 @@ def test_numpy_is_imported_only_where_the_readme_lists_it():
         ("starpoly", "quadratic_root_in_ball")}
 
 
-def test_only_the_container_constructors_promote_a_real():
-    # the README's scalar-core contract: a quaternion parameter takes a
-    # Quaternion as given, and only these constructors accept a real entry
-    def calls_as_quat(node):
-        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "as_quat")
-
-    assert _package_sites(calls_as_quat) == {
-        ("hmat", "QMat2.__init__"), ("hmat", "Sp11Algebra.__init__"),
-        ("starpoly", "StarPoly.__init__")}
+def test_no_constructor_promotes_a_real():
+    # the README's scalar-core contract: every matrix and polynomial slot holds
+    # a Quaternion as given, so the package defines, imports and calls no as_quat
+    package = Path(__file__).resolve().parents[1] / "src" / "sliceball"
+    hits = [(path.stem, node.lineno) for path in package.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if "as_quat" in (getattr(node, "name", None), getattr(node, "id", None),
+                             getattr(node, "attr", None))]
+    assert hits == []
 
 
 def test_verify_does_not_load_scipy():
@@ -419,7 +424,7 @@ def test_decompose_far_from_the_identity(capsys, monkeypatch, r, mode):
 @pytest.mark.parametrize("kind", ["classical", "regular"])
 @pytest.mark.parametrize("point", [[math.nan, 0, 0, 0], [0, math.inf, 0, 0], [2, 0, 0, 0]])
 def test_mobius_rejects_points_off_the_ball(capsys, monkeypatch, kind, point):
-    payload = {"matrix": mat_to_list(identity()), "point": point}
+    payload = {"matrix": mat_to_list(IDENTITY), "point": point}
     code, out, err = run_cli(capsys, monkeypatch, ["mobius", "--kind", kind, "--format", "json"],
                              stdin=json.dumps(payload))
     assert code == 1 and out == ""
@@ -450,7 +455,7 @@ def test_missing_input_file_is_an_input_error(tmp_path, capsys, monkeypatch, arg
      '[[["1",0,0,0],[0,0,0,0]],[[0,0,0,0],[1,0,0,0]]]'),
     (["check", "--what", "sp11"],
      '[[[true,0,0,0],[0,0,0,0]],[[0,0,0,0],[1,0,0,0]]]'),
-    (["mobius"], json.dumps({"matrix": mat_to_list(identity()), "point": [0, False, 0, 0]})),
+    (["mobius"], json.dumps({"matrix": mat_to_list(IDENTITY), "point": [0, False, 0, 0]})),
     (["table", "--u", '["1",0,0,0]'], None),
 ])
 def test_non_numeric_coordinates_are_input_errors(capsys, monkeypatch, argv, stdin):
@@ -460,7 +465,7 @@ def test_non_numeric_coordinates_are_input_errors(capsys, monkeypatch, argv, std
 
 
 def test_json_output_never_carries_nan(capsys, monkeypatch):
-    mat = mat_to_list(identity())
+    mat = mat_to_list(IDENTITY)
     mat[0][0][0] = math.nan
     code, out, _ = run_cli(capsys, monkeypatch, ["check", "--what", "sp11", "--format", "json"],
                            stdin=json.dumps(mat))
@@ -508,7 +513,7 @@ HUGE = int("1" + "0" * 400)  # beyond the double range
 @pytest.mark.parametrize("argv, stdin", [
     (["check", "--what", "sp11"], json.dumps([[[HUGE, 0, 0, 0], [0, 0, 0, 0]],
                                               [[0, 0, 0, 0], [1, 0, 0, 0]]])),
-    (["mobius"], json.dumps({"matrix": mat_to_list(identity()), "point": [0, -HUGE, 0, 0]})),
+    (["mobius"], json.dumps({"matrix": mat_to_list(IDENTITY), "point": [0, -HUGE, 0, 0]})),
     (["table", "--u", f"[{HUGE},0,0,0]"], None),
 ], ids=["check", "mobius", "table"])
 def test_a_huge_integer_coordinate_is_an_input_error(capsys, monkeypatch, argv, stdin):

@@ -9,10 +9,10 @@ import scipy.linalg
 
 from sliceball import verify
 from sliceball.errors import DomainError
-from sliceball.hmat import (QMat2, Sp11Algebra, algebra_check, algebra_residual,
-                            diag, exp_general, exp_m, hyperbolic, i11, identity,
-                            lie_bracket, mat_from_list, mat_to_list, off_diag,
-                            psi_embed, sigma, sp11_check, sp11_inverse)
+from sliceball.hmat import (I11, IDENTITY, QMat2, Sp11Algebra, algebra_check,
+                            algebra_residual, diag, exp_general, exp_m, hyperbolic,
+                            lie_bracket, mat_from_list, off_diag, psi_embed, sigma,
+                            sp11_check, sp11_inverse)
 from sliceball.quat import I, J, K, ONE, ZERO, Quaternion
 from sliceball.verify import sample_sphere3
 
@@ -35,9 +35,9 @@ def diag_alg(p, q) -> Sp11Algebra:
 
 def test_mat_ops_examples():
     a = QMat2(Quaternion(1, 2, 0, 0), I, J, K)
-    assert identity() @ a == a
+    assert IDENTITY @ a == a
     assert diag(I, J).adjoint() == diag(-I, -J)
-    assert i11() @ i11() == identity()
+    assert I11 @ I11 == IDENTITY
 
 
 def test_adjoint_antiautomorphism():
@@ -74,10 +74,10 @@ def test_matmul_associative():
 
 
 def test_sp11_check_examples():
-    assert sp11_check(identity()) == (True, 0.0)
+    assert sp11_check(IDENTITY) == (True, 0.0)
     ok, res = sp11_check(hyperbolic(1.0))
     assert ok and res <= 1e-15
-    assert not sp11_check(diag(1.0, 2.0))[0]
+    assert not sp11_check(diag(ONE, Quaternion(2.0)))[0]
 
 
 def test_sp11_check_scales_with_the_columns():
@@ -86,33 +86,34 @@ def test_sp11_check_scales_with_the_columns():
     a = exp_m(J * 7.5)
     ok, res = sp11_check(a)
     assert ok and res > 1e-10
-    assert not sp11_check(QMat2(math.cosh(15), 0.0, math.sinh(15), 1e-5))[0]
-    assert not sp11_check(QMat2(Quaternion(math.nan), 0.0, 0.0, 1.0))[0]
+    assert not sp11_check(QMat2(Quaternion(math.cosh(15)), ZERO, Quaternion(math.sinh(15)),
+                             Quaternion(1e-5)))[0]
+    assert not sp11_check(QMat2(Quaternion(math.nan), ZERO, ZERO, ONE))[0]
 
 
 def test_sp11_inverse_examples():
-    assert sp11_inverse(i11()) == i11()
+    assert sp11_inverse(I11) == I11
     t = 0.7
     assert (sp11_inverse(hyperbolic(t)) - hyperbolic(-t)).max_norm() <= 1e-15
     a = diag(sample_sphere3(np.random.default_rng(2)),
              sample_sphere3(np.random.default_rng(3))) @ exp_m(I * 0.4)
-    assert (a @ sp11_inverse(a) - identity()).max_norm() <= 1e-14
+    assert (a @ sp11_inverse(a) - IDENTITY).max_norm() <= 1e-14
     with pytest.raises(DomainError):
-        sp11_inverse(diag(1.0, 2.0))
+        sp11_inverse(diag(ONE, Quaternion(2.0)))
 
 
 def test_sigma():
     d = diag(I, J)
     assert sigma(d) == d
-    a = QMat2(1.0, I, J, K)
+    a = QMat2(ONE, I, J, K)
     s = sigma(a)
-    assert s == QMat2(1.0, -I, -J, K)
+    assert s == QMat2(ONE, -I, -J, K)
     assert sigma(sigma(a)) == a
 
 
 def test_algebra_membership():
     assert algebra_check(off_diag(Quaternion(1, 2, 3, 4)).as_matrix())[0]
-    assert not algebra_check(diag(1.0, 0.0))[0]
+    assert not algebra_check(diag(ONE, ZERO))[0]
     with pytest.raises(DomainError):
         Sp11Algebra(ONE, I, ONE)  # real diagonal part is not allowed
 
@@ -130,18 +131,18 @@ def test_bracket_examples():
 
 
 def test_exp_m_examples():
-    assert exp_m(Quaternion()) == identity()
+    assert exp_m(Quaternion()) == IDENTITY
     t = 1.3
     assert (exp_m(Quaternion(t)) - hyperbolic(t)).max_norm() <= 1e-15
     assert (exp_m(Quaternion(-t)) - hyperbolic(-t)).max_norm() <= 1e-15
     e = exp_m(I)
     c, s = math.cosh(1.0), math.sinh(1.0)
-    assert (e - QMat2(c, -I * s, I * s, c)).max_norm() <= 1e-15
+    assert (e - QMat2(Quaternion(c), -I * s, I * s, Quaternion(c))).max_norm() <= 1e-15
     assert sp11_check(e)[0]
 
 
 def test_exp_general_matches_closed_form():
-    assert (exp_general(off_diag(Quaternion())) - identity()).max_norm() == 0.0
+    assert (exp_general(off_diag(Quaternion())) - IDENTITY).max_norm() == 0.0
     x = off_diag(J * 0.7)
     assert (exp_general(x) - exp_m(J * 0.7)).max_norm() <= 1e-13
 
@@ -160,7 +161,7 @@ def test_exp_general_diagonal_reduces_to_quaternion_exp():
     assert sp11_check(got)[0]
     # exp(diag(pi*i, 0)) = diag(-1, 1)
     half_turn = exp_general(diag_alg(I * math.pi, Quaternion()))
-    assert (half_turn - diag(-1.0, 1.0)).max_norm() <= 1e-13
+    assert (half_turn - diag(Quaternion(-1.0), ONE)).max_norm() <= 1e-13
 
 
 def test_eig_oracle_agrees_with_scipy_expm():
@@ -174,7 +175,7 @@ def test_eig_oracle_agrees_with_scipy_expm():
 
 
 def test_psi_examples():
-    assert np.abs(psi_embed(identity()) - np.eye(4)).max() == 0.0
+    assert np.abs(psi_embed(IDENTITY) - np.eye(4)).max() == 0.0
 
 
 def test_psi_monomorphism():
@@ -210,6 +211,6 @@ def test_group_closure():
 
 def test_mat_json_roundtrip():
     a = QMat2(Quaternion(1, 2, 3, 4), I, J, Quaternion(-1, 0.5, 0, 0))
-    assert mat_from_list(mat_to_list(a)) == a
+    assert mat_from_list([[[1, 2, 3, 4], [0, 1, 0, 0]], [[0, 0, 1, 0], [-1, 0.5, 0, 0]]]) == a
     with pytest.raises(ValueError):
         mat_from_list([[1, 2], [3]])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sliceball.errors import DomainError
-from sliceball.hmat import QMat2, diag, exp_m, hyperbolic, i_eps, identity, scalar
+from sliceball.hmat import IDENTITY, QMat2, diag, exp_m, hyperbolic, i_eps, scalar
 from sliceball.lie import (ISO_IDENTITY, IsoGElement,
                            SliceFactorization, SymmFactorization,
                            centralizer_check, fact_to_dict, iso_g_act,
@@ -15,7 +15,7 @@ from sliceball.lie import (ISO_IDENTITY, IsoGElement,
                            slice_compose, slice_decompose, symm_compose,
                            symm_decompose)
 from sliceball.mobius import differential, quotient_point
-from sliceball.quat import I, J, ONE, Quaternion
+from sliceball.quat import I, J, ONE, ZERO, Quaternion
 from sliceball.verify import sample_ball, sample_sphere3
 
 
@@ -37,7 +37,7 @@ def test_symm_decompose_examples():
 
 
 def test_symm_compose_examples():
-    assert symm_compose(SymmFactorization(ONE, ONE, Quaternion())) == identity()
+    assert symm_compose(SymmFactorization(ONE, ONE, Quaternion())) == IDENTITY
     u, v = I, J
     assert (symm_compose(SymmFactorization(u, v, Quaternion())) - diag(u, v)).max_norm() == 0.0
     t = 0.8
@@ -60,7 +60,7 @@ def test_slice_decompose_examples():
 
 
 def test_slice_compose_examples():
-    assert slice_compose(SliceFactorization(ONE, Quaternion(), ONE)) == identity()
+    assert slice_compose(SliceFactorization(ONE, Quaternion(), ONE)) == IDENTITY
     u = sample_sphere3(np.random.default_rng(44))
     assert (slice_compose(SliceFactorization(u, Quaternion(), ONE)) - diag(u, ONE)).max_norm() == 0.0
     got = slice_compose(SliceFactorization(ONE, I * 0.3, J))
@@ -89,16 +89,16 @@ def test_roundtrips_both_ways():
 
 def test_decompose_rejects_non_members():
     with pytest.raises(DomainError):
-        symm_decompose(diag(1.0, 2.0))
+        symm_decompose(diag(ONE, Quaternion(2.0)))
     with pytest.raises(DomainError):
-        slice_decompose(diag(1.0, 2.0))
+        slice_decompose(diag(ONE, Quaternion(2.0)))
 
 
 @pytest.mark.parametrize("a", [
-    diag(1.0, 2.0),
-    diag(1.0, 2.0) * 1e3,
+    diag(ONE, Quaternion(2.0)),
+    diag(ONE, Quaternion(2.0)) * 1e3,
     # a huge first column must not excuse the second: m21 m22^-1 here is ~1.6e11
-    QMat2(math.cosh(15.0), 0.0, math.sinh(15.0), 1e-5),
+    QMat2(Quaternion(math.cosh(15.0)), ZERO, Quaternion(math.sinh(15.0)), Quaternion(1e-5)),
 ], ids=["diag", "diag-scaled", "tiny-column"])
 def test_scaled_gate_still_rejects_non_members(a):
     # the group gate scales with A's columns, which must not let these in
@@ -190,10 +190,10 @@ def test_centralizer_examples():
     assert centralizer_check(diag(Quaternion(-1.0), u), "sp1x1")[0]
     assert centralizer_check(hyperbolic(0.7), "sp1I2")[0]
     assert not centralizer_check(diag(I, ONE), "sp1x1")[0]
-    assert centralizer_check(identity() * -1.0, "sp1xsp1")[0]
+    assert centralizer_check(IDENTITY * -1.0, "sp1xsp1")[0]
     assert not centralizer_check(diag(Quaternion(-1.0), u), "sp1xsp1")[0]
     with pytest.raises(DomainError):
-        centralizer_check(identity(), "so3")
+        centralizer_check(IDENTITY, "so3")
 
 
 @pytest.mark.parametrize("subgroup", ["sp1x1", "sp1I2", "sp1xsp1"])
@@ -224,11 +224,11 @@ def is_real_matrix(a: QMat2) -> bool:
 
 def is_plus_minus_identity(a: QMat2) -> bool:
     # two comparisons, not min(): min() drops a NaN that is not first
-    return (a - identity()).max_norm() <= MEMBER_TOL or (a + identity()).max_norm() <= MEMBER_TOL
+    return (a - IDENTITY).max_norm() <= MEMBER_TOL or (a + IDENTITY).max_norm() <= MEMBER_TOL
 
 
 def test_plus_minus_identity_rejects_a_nan():
-    assert is_plus_minus_identity(identity() * -1.0)
+    assert is_plus_minus_identity(IDENTITY * -1.0)
     assert not is_plus_minus_identity(diag(ONE, Quaternion(math.nan)))
 
 

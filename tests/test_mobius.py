@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sliceball.errors import ConsistencyError, DomainError
-from sliceball.hmat import QMat2, diag, exp_m, hyperbolic, i11, identity, sp11_inverse
+from sliceball.hmat import I11, IDENTITY, QMat2, diag, exp_m, hyperbolic, sp11_inverse
 from sliceball.mobius import (classical_apply, differential, f_au, f_au_matrix,
                               mobius_M, o11_classify, quotient_point, regular_apply)
 from sliceball.quat import I, ONE, ZERO, Quaternion, sgn
@@ -18,8 +18,8 @@ from sliceball.verify import _orientation_sign, sample_ball, sample_sphere3
 
 def test_classical_examples():
     q = Quaternion(0.2, -0.3, 0.1, 0.4)
-    assert (classical_apply(i11(), q) + q).norm() == 0.0
-    assert classical_apply(identity(), q) == q
+    assert (classical_apply(I11, q) + q).norm() == 0.0
+    assert classical_apply(IDENTITY, q) == q
     t = 0.9
     img = classical_apply(hyperbolic(t), Quaternion())
     assert (img - Quaternion(math.tanh(t))).norm() <= 1e-15
@@ -27,7 +27,7 @@ def test_classical_examples():
 
 def test_classical_rejects_boundary():
     with pytest.raises(DomainError):
-        classical_apply(identity(), Quaternion(1.0))
+        classical_apply(IDENTITY, Quaternion(1.0))
 
 
 def test_regular_examples():
@@ -35,7 +35,7 @@ def test_regular_examples():
     a = sample_ball(rng, 0.9)
     assert regular_apply(mobius_M(a), a).norm() <= 1e-14
     q = sample_ball(rng, 0.9)
-    assert regular_apply(identity(), q) == q
+    assert regular_apply(IDENTITY, q) == q
     # hyperbolic rotations act identically in both flavors
     for _ in range(10):
         t = 2.0 * float(rng.random()) - 1.0
@@ -61,7 +61,7 @@ def test_regular_apply_is_the_star_product_form_exactly():
         u, v, w = sample_sphere3(rng), sample_sphere3(rng), sample_sphere3(rng)
         a = diag(u, v) @ exp_m(w * (3.0 * float(rng.random())))
         if k % 5 == 0:  # entries with exact zeros, where signed zeros could differ
-            a = [identity(), hyperbolic(0.7), i11(), diag(sample_sphere3(rng), ONE),
+            a = [IDENTITY, hyperbolic(0.7), I11, diag(sample_sphere3(rng), ONE),
                  mobius_M(Quaternion(0.4))][k // 5 % 5]
         q = sample_ball(rng, 0.95)
         assert _bits(regular_apply(a, q)) == _bits(_star_product_form(a, q)), (k, a, q)
@@ -76,13 +76,13 @@ def test_regular_apply_rejects_a_vanishing_denominator():
 
 
 def test_mobius_M_examples():
-    assert (mobius_M(Quaternion()) - identity()).max_norm() == 0.0
+    assert (mobius_M(Quaternion()) - IDENTITY).max_norm() == 0.0
     a = math.tanh(1.0)
     assert (mobius_M(Quaternion(a)) - exp_m(Quaternion(-1.0))).max_norm() <= 1e-14
     assert (mobius_M(Quaternion(a)) - hyperbolic(-1.0)).max_norm() <= 1e-14
     rng = np.random.default_rng(23)
     b = sample_ball(rng, 0.9)
-    assert (mobius_M(b) @ mobius_M(-b) - identity()).max_norm() <= 1e-14
+    assert (mobius_M(b) @ mobius_M(-b) - IDENTITY).max_norm() <= 1e-14
     assert (mobius_M(b) - exp_m(-sgn(b) * math.atanh(b.norm()))).max_norm() <= 1e-14
     with pytest.raises(DomainError):
         mobius_M(Quaternion(1.0))
@@ -114,7 +114,7 @@ def test_f_au_matrix_coincidence():
 
 
 def test_quotient_point_examples():
-    assert quotient_point(identity()).norm() == 0.0
+    assert quotient_point(IDENTITY).norm() == 0.0
     rng = np.random.default_rng(26)
     a = sample_ball(rng, 0.9)
     assert (quotient_point(sp11_inverse(mobius_M(a))) - a).norm() <= 1e-12
@@ -136,7 +136,7 @@ def test_quotient_point_near_diagonal():
 
 def test_quotient_point_rejects_non_members():
     with pytest.raises((ConsistencyError, DomainError)):
-        quotient_point(diag(1.0, 2.0))
+        quotient_point(diag(ONE, Quaternion(2.0)))
 
 
 def test_differential_examples():
@@ -171,9 +171,9 @@ def test_anti_homomorphism_and_inverse():
 
 
 def test_o11_classify_examples():
-    eps, reflected, t = o11_classify(identity())
+    eps, reflected, t = o11_classify(IDENTITY)
     assert (eps, reflected, t) == (1, False, 0.0)
-    eps, reflected, t = o11_classify(i11())
+    eps, reflected, t = o11_classify(I11)
     assert (eps, reflected, t) == (1, True, 0.0)
     eps, reflected, t = o11_classify(hyperbolic(2.0) * -1.0)
     assert (eps, reflected) == (-1, False) and abs(t - 2.0) <= 1e-14
@@ -187,13 +187,13 @@ def test_o11_classify_roundtrip():
         reflected = rng.random() < 0.5
         mat = hyperbolic(t) * float(eps)
         if reflected:
-            mat = mat @ i11()
+            mat = mat @ I11
         parts = o11_classify(mat)
         assert (parts.eps, parts.reflected) == (eps, reflected)
         assert abs(parts.t - t) <= 1e-12
         recomposed = hyperbolic(parts.t) * float(parts.eps)
         if parts.reflected:
-            recomposed = recomposed @ i11()
+            recomposed = recomposed @ I11
         assert (recomposed - mat).max_norm() <= 1e-12
 
 
@@ -205,7 +205,7 @@ def test_o11_classify_far_from_the_identity(t, eps, reflected):
     # accepts these, so the parts must come out right too
     mat = hyperbolic(t) * float(eps)
     if reflected:
-        mat = mat @ i11()
+        mat = mat @ I11
     parts = o11_classify(mat)
     assert (parts.eps, parts.reflected) == (eps, reflected)
     assert abs(parts.t - t) <= 1e-15 * abs(t)
@@ -215,6 +215,6 @@ def test_o11_classify_rejects():
     with pytest.raises(DomainError):
         o11_classify(diag(I, ONE))
     with pytest.raises(DomainError):
-        o11_classify(diag(1.0, 2.0))
+        o11_classify(diag(ONE, Quaternion(2.0)))
     with pytest.raises(DomainError):
-        o11_classify(diag(math.nan, 1.0))
+        o11_classify(diag(Quaternion(math.nan), ONE))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sliceball.errors import DomainError, PoleError
-from sliceball.quat import I, J, K, ONE, Quaternion
+from sliceball.quat import I, J, K, ONE, ZERO, Quaternion
 from sliceball.starpoly import (StarPoly, quadratic_root_in_ball, reg_conj,
                                 regularity_residual, symmetrize)
 from sliceball.verify import sample_ball, sample_imaginary_unit
@@ -20,7 +20,7 @@ def test_star_mul_examples():
     g = StarPoly([-J, ONE])   # q - j
     prod = f * g
     assert prod == StarPoly([I * J, -(I + J), ONE])
-    assert f * StarPoly([1.0]) == f
+    assert f * StarPoly([ONE]) == f
     assert StarPoly([Quaternion(), I]) * StarPoly([Quaternion(), J]) == StarPoly(
         [Quaternion(), Quaternion(), K])
 
@@ -33,7 +33,7 @@ def test_degree_and_trimming():
 
 def test_reg_conj_examples():
     assert reg_conj(StarPoly([-I, ONE])) == StarPoly([I, ONE])
-    real = StarPoly([1.0, -2.0, 3.0])
+    real = StarPoly([ONE, Quaternion(-2.0), Quaternion(3.0)])
     assert reg_conj(real) == real
     assert reg_conj(StarPoly([Quaternion(), Quaternion(1, 0, 1, 0)])) == StarPoly(
         [Quaternion(), Quaternion(1, 0, -1, 0)])
@@ -43,9 +43,9 @@ def test_symmetrize_examples():
     a = Quaternion(0.25, 0.5, -0.75, 0.125)
     f = StarPoly([-a, ONE])  # q - a
     fs = symmetrize(f)
-    assert fs == StarPoly([a.norm_sq(), -2 * a.w, 1.0])
-    assert symmetrize(StarPoly([a])) == StarPoly([a.norm_sq()])
-    assert symmetrize(StarPoly([Quaternion(), ONE])) == StarPoly([0.0, 0.0, 1.0])
+    assert fs == StarPoly([Quaternion(a.norm_sq()), Quaternion(-2 * a.w), ONE])
+    assert symmetrize(StarPoly([a])) == StarPoly([Quaternion(a.norm_sq())])
+    assert symmetrize(StarPoly([Quaternion(), ONE])) == StarPoly([ZERO, ZERO, ONE])
 
 
 @given(polys)
@@ -62,7 +62,7 @@ def test_conj_antihomomorphism(f, g):
 
 
 def test_eval_examples():
-    assert StarPoly([1.0, 0.0, 1.0]).eval(I) == Quaternion()
+    assert StarPoly([ONE, ZERO, ONE]).eval(I) == Quaternion()
     prod = StarPoly([-I, ONE]) * StarPoly([-J, ONE])
     assert prod.eval(I).norm() <= 1e-15
     a = Quaternion(0.5, 1, 2, 3)
@@ -88,7 +88,7 @@ def star_inverse_eval(f: StarPoly, q: Quaternion) -> Quaternion:
 
 
 def test_star_inverse_examples():
-    assert star_inverse_eval(StarPoly([1.0]), Quaternion(0.3, 0.4, 0, 0)) == ONE
+    assert star_inverse_eval(StarPoly([ONE]), Quaternion(0.3, 0.4, 0, 0)) == ONE
     # in-slice evaluation reduces to commutative arithmetic
     a = Quaternion(0.2, 0.3, 0, 0)
     q = Quaternion(-0.1, 0.5, 0, 0)
@@ -119,13 +119,13 @@ def test_star_inverse_pole():
 
 
 def test_root_finder_linear():
-    report = quadratic_root_in_ball(StarPoly([-0.4, 2.0]))
+    report = quadratic_root_in_ball(StarPoly([Quaternion(-0.4), Quaternion(2.0)]))
     assert len(report.points) == 1 and not report.spheres
     assert (report.points[0] - Quaternion(0.2)).norm() <= 1e-14
 
 
 def test_root_finder_spherical():
-    report = quadratic_root_in_ball(StarPoly([1.0, 0.0, 1.0]))  # q^2 + 1
+    report = quadratic_root_in_ball(StarPoly([ONE, ZERO, ONE]))  # q^2 + 1
     assert not report.points
     assert len(report.spheres) == 1
     x, y = report.spheres[0]
@@ -135,7 +135,7 @@ def test_root_finder_spherical():
 
 
 def test_root_finder_mixed_example():
-    p = StarPoly([-(I * 0.3), ONE]) * StarPoly([-0.1, ONE])
+    p = StarPoly([-(I * 0.3), ONE]) * StarPoly([Quaternion(-0.1), ONE])
     report = quadratic_root_in_ball(p)
     assert any((r - I * 0.3).norm() <= 1e-10 for r in report.points)
     assert any((r - Quaternion(0.1)).norm() <= 1e-10 for r in report.points)
@@ -192,7 +192,7 @@ def test_root_finder_random_residuals():
 def test_root_finder_double_zero_is_one_point():
     # (q - a) * (q - a) has the one zero a; a real a is not a thin sphere beside a point
     rng = np.random.default_rng(15)
-    cases = [(StarPoly([0.09, -0.6, 1.0]), Quaternion(0.3))]
+    cases = [(StarPoly([Quaternion(0.09), Quaternion(-0.6), ONE]), Quaternion(0.3))]
     for a in [Quaternion(-0.7), Quaternion(0.9)] + [sample_ball(rng, 0.95) for _ in range(50)]:
         cases.append((StarPoly([-a, ONE]) * StarPoly([-a, ONE]), a))
     for p, a in cases:
@@ -212,7 +212,7 @@ def test_root_finder_near_axis_zero_not_collapsed():
 def test_root_finder_tiny_leading_coefficient():
     # near-degenerate quadratic: the honest small zero survives the huge partner root
     a = Quaternion(0.2, 0.1, -0.3, 0.0)
-    p = StarPoly([-a, ONE]) * StarPoly([1.0, 1e-9])  # second factor root at -1e9
+    p = StarPoly([-a, ONE]) * StarPoly([ONE, Quaternion(1e-9)])  # second factor root at -1e9
     report = quadratic_root_in_ball(p)
     assert any((r - a).norm() <= 1e-9 for r in report.points_in_ball())
 
@@ -221,9 +221,9 @@ def test_root_finder_rejects_bad_degree():
     with pytest.raises(DomainError):
         quadratic_root_in_ball(StarPoly([]))
     with pytest.raises(DomainError):
-        quadratic_root_in_ball(StarPoly([2.0]))
+        quadratic_root_in_ball(StarPoly([Quaternion(2.0)]))
     with pytest.raises(DomainError):
-        quadratic_root_in_ball(StarPoly([1.0, 1.0, 1.0, 1.0]))
+        quadratic_root_in_ball(StarPoly([ONE, ONE, ONE, ONE]))
 
 
 def test_regularity_residual_polynomial():

@@ -8,7 +8,7 @@ import pytest
 
 from sliceball import hmat, lie, mobius, verify
 from sliceball.errors import ConsistencyError, DomainError, PoleError
-from sliceball.quat import J, Quaternion
+from sliceball.quat import J, ZERO, Quaternion
 
 
 def test_registry_names_unique():
@@ -67,6 +67,26 @@ def test_fewer_than_one_trial_is_rejected(trials):
         verify.run_check(verify.CHECKS[0], 1, 0, trials=trials)
 
 
+def _bits(a: hmat.QMat2) -> list[str]:
+    return [c.hex() for m in a.entries() for c in (m.w, m.x, m.y, m.z)]
+
+
+def test_checks_leave_the_constant_matrices_unchanged():
+    # IDENTITY, I11 and the centralizer probes are built once and shared by
+    # every caller, so no check may mutate them; compare with fresh builds
+    for index, check in enumerate(verify.CHECKS):
+        verify.run_check(check, 1, index, trials=2)
+    q = Quaternion
+    one, i, j = q(1.0), q(0.0, 1.0), q(0.0, 0.0, 1.0)
+    assert _bits(hmat.IDENTITY) == _bits(hmat.QMat2(one, q(), q(), one))
+    assert _bits(hmat.I11) == _bits(hmat.QMat2(one, q(), q(), q(-1.0)))
+    sp1x1 = [hmat.QMat2(i, q(), q(), one), hmat.QMat2(j, q(), q(), one)]
+    sp1i2 = [hmat.QMat2(i, q(), q(), i), hmat.QMat2(j, q(), q(), j)]
+    fresh = {"sp1x1": sp1x1, "sp1I2": sp1i2, "sp1xsp1": sp1x1 + sp1i2}
+    assert {name: [_bits(p) for p in probes] for name, probes in lie._PROBES.items()} == {
+        name: [_bits(p) for p in probes] for name, probes in fresh.items()}
+
+
 def _run_named(name: str, seed: int = 1):
     index = verify.CHECK_NAMES.index(name)
     return verify.run_check(verify.CHECKS[index], seed, index)
@@ -75,7 +95,7 @@ def _run_named(name: str, seed: int = 1):
 def test_exp_psi_oracle_catches_a_wrong_exponential(monkeypatch):
     assert _run_named("exp-psi-oracle").passed
     monkeypatch.setattr(verify, "exp_general",
-                        lambda x: hmat.exp_general(x) + hmat.identity() * 1e-8)
+                        lambda x: hmat.exp_general(x) + hmat.IDENTITY * 1e-8)
     assert not _run_named("exp-psi-oracle").passed
 
 
@@ -260,13 +280,13 @@ def test_a_negative_seed_is_rejected_before_any_worker_starts(monkeypatch):
 def test_hat_check_examples():
     j, k = verify._j2(), verify._k11()
     jq = Quaternion(0, 0, 1, 0)
-    assert np.abs(hmat.psi_embed(hmat.QMat2(jq, 0.0, 0.0, jq)) - j).max() == 0.0
+    assert np.abs(hmat.psi_embed(hmat.QMat2(jq, ZERO, ZERO, jq)) - j).max() == 0.0
     assert np.abs(j @ j + np.eye(4)).max() == 0.0
     assert np.array_equal(k, np.diag([1.0, -1.0, 1.0, -1.0]))
 
     def hat(a):
         return verify._hat_sp11_residual(verify._rho(hmat.psi_embed(a)), k, j)
 
-    assert hat(hmat.identity()) <= hmat.GROUP_TOL
+    assert hat(hmat.IDENTITY) <= hmat.GROUP_TOL
     assert hat(hmat.hyperbolic(1.0)) <= hmat.GROUP_TOL
     assert not verify._hat_sp11_residual(2.0 * np.eye(4), k, j) <= hmat.GROUP_TOL
