@@ -3,7 +3,8 @@ geodesic/orbit tables, and the randomized verification suite.
 
 All numeric output is printed with 17 significant digits so reports are stable
 under diffing; identical seed and configuration give byte-identical reports.
-Timing is written to stderr only.
+Timing is written to stderr only. Only this module reads and writes the JSON wire
+format: a quaternion is [w, x, y, z], a matrix a 2x2 array of quaternions.
 """
 
 from __future__ import annotations
@@ -23,6 +24,32 @@ EXIT_PARSE = 2
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
+
+
+def _quat_to_list(q) -> list[float]:
+    return [q.w, q.x, q.y, q.z]
+
+
+def _quat_from_list(data):
+    """Read [w, x, y, z]; every coordinate must be a JSON number (not a string or a bool)."""
+    from .quat import Quaternion
+    if (not isinstance(data, (list, tuple)) or len(data) != 4
+            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in data)):
+        raise ValueError(f"expected a [w, x, y, z] array of numbers, got {data!r}")
+    try:
+        return Quaternion(*data)
+    except OverflowError as exc:  # a JSON integer beyond the double range
+        raise ValueError(f"coordinate out of the double range: {exc}") from exc
+
+
+def _mat_from_list(data):
+    """Read a 2x2 array of quaternions, checking the shape before any entry."""
+    from .hmat import QMat2
+    if (not isinstance(data, (list, tuple)) or len(data) != 2
+            or any(not isinstance(row, (list, tuple)) or len(row) != 2 for row in data)):
+        raise ValueError(f"expected a 2x2 array of quaternions, got {data!r}")
+    return QMat2(_quat_from_list(data[0][0]), _quat_from_list(data[0][1]),
+                 _quat_from_list(data[1][0]), _quat_from_list(data[1][1]))
 
 
 def _parse_json(text: str) -> object:
@@ -69,9 +96,8 @@ def _emit(payload: dict, fmt: str, human_lines: list[str]) -> None:
 # check
 
 def cmd_check(args) -> int:
-    from .hmat import algebra_check, mat_from_list, sp11_check, sp11_residual
-    data = _read_input(args)
-    mat = mat_from_list(data)
+    from .hmat import algebra_check, sp11_check, sp11_residual
+    mat = _mat_from_list(_read_input(args))
     what = args.what
     if what == "sp11":
         ok, residual = sp11_check(mat)
@@ -80,7 +106,7 @@ def cmd_check(args) -> int:
     elif what.startswith("centralizer:"):
         from .lie import centralizer_check
         ok, residual = centralizer_check(mat, what.split(":", 1)[1])
-    elif what == "o11":
+    else:  # o11; argparse admits no other choice
         from .mobius import o11_classify
         residual = sp11_residual(mat)
         try:
@@ -93,8 +119,6 @@ def cmd_check(args) -> int:
             _emit(payload, args.format,
                   [f"PASS o11 eps={parts.eps} reflected={parts.reflected} t={_fmt(parts.t)}"])
             return EXIT_OK
-    else:
-        raise DomainError(f"unknown check {what!r}")
     _emit({"pass": ok, "residual": residual}, args.format,
           [f"{'PASS' if ok else 'FAIL'} {what} residual={_fmt(residual)}"])
     return EXIT_OK if ok else EXIT_FAIL
@@ -104,18 +128,18 @@ def cmd_check(args) -> int:
 # mobius
 
 def cmd_mobius(args) -> int:
-    from .hmat import ensure_sp11, mat_from_list
+    from .hmat import ensure_sp11
     from .mobius import classical_apply, regular_apply
-    from .quat import ensure_in_ball, quat_from_list, quat_to_list
+    from .quat import ensure_in_ball
     data = _read_input(args)
-    mat = mat_from_list(data["matrix"])
-    point = quat_from_list(data["point"])
+    mat = _mat_from_list(data["matrix"])
+    point = _quat_from_list(data["point"])
     ensure_sp11(mat)
     image = (classical_apply if args.kind == "classical" else regular_apply)(mat, point)
     # Far along the group the image can round onto the boundary sphere.
     ensure_in_ball(image, "the image is not in the open ball", name="image")
-    _emit({"point": quat_to_list(image)}, args.format,
-          [" ".join(_fmt(v) for v in quat_to_list(image))])
+    coords = _quat_to_list(image)
+    _emit({"point": coords}, args.format, [" ".join(_fmt(v) for v in coords)])
     return EXIT_OK
 
 
@@ -123,19 +147,14 @@ def cmd_mobius(args) -> int:
 # decompose
 
 def cmd_decompose(args) -> int:
-    from .hmat import mat_from_list
-    from .lie import fact_to_dict, slice_compose, slice_decompose, symm_compose, symm_decompose
-    data = _read_input(args)
-    mat = mat_from_list(data)
-    if args.mode == "symm":
-        fact = symm_decompose(mat)
-        recomposed = symm_compose(fact)
-    else:
-        fact = slice_decompose(mat)
-        recomposed = slice_compose(fact)
-    residual = (recomposed - mat).max_norm()
-    payload = fact_to_dict(fact)
-    payload["residual"] = residual
+    from .lie import slice_compose, slice_decompose, symm_compose, symm_decompose
+    decompose, compose = ((symm_decompose, symm_compose) if args.mode == "symm"
+                          else (slice_decompose, slice_compose))
+    mat = _mat_from_list(_read_input(args))
+    fact = decompose(mat)
+    residual = (compose(fact) - mat).max_norm()
+    payload = {"u": _quat_to_list(fact.u), "v": _quat_to_list(fact.v),
+               "X": _quat_to_list(fact.x), "residual": residual}
     human = [f"u = {' '.join(_fmt(v) for v in payload['u'])}",
              f"X = {' '.join(_fmt(v) for v in payload['X'])}",
              f"v = {' '.join(_fmt(v) for v in payload['v'])}",
@@ -194,9 +213,9 @@ def cmd_verify(args) -> int:
 
 def cmd_table(args) -> int:
     from .metrics import geodesic_table
-    from .quat import Quaternion, ensure_in_ball, quat_from_list
-    u = quat_from_list(_parse_json(args.u))
-    base = quat_from_list(_parse_json(args.a)) if args.kind == "orbit" else Quaternion()
+    from .quat import Quaternion, ensure_in_ball
+    u = _quat_from_list(_parse_json(args.u))
+    base = _quat_from_list(_parse_json(args.a)) if args.kind == "orbit" else Quaternion()
     rows = geodesic_table(u, args.t_min, args.t_max, args.steps, a=base)
     for _, p in rows:  # far out along the orbit a point can round onto the boundary
         ensure_in_ball(p, "a table point is not in the open ball", name="p")

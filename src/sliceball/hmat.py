@@ -289,14 +289,3 @@ def psi_embed(a: QMat2) -> np.ndarray:
     out[2:, 2:] = z.conj()
     return out
 
-
-# ---------------------------------------------------------------------------
-# JSON wire format.
-
-def mat_from_list(data) -> QMat2:
-    from .quat import quat_from_list
-    if (not isinstance(data, (list, tuple)) or len(data) != 2
-            or any(not isinstance(row, (list, tuple)) or len(row) != 2 for row in data)):
-        raise ValueError(f"expected a 2x2 array of quaternions, got {data!r}")
-    return QMat2(quat_from_list(data[0][0]), quat_from_list(data[0][1]),
-                 quat_from_list(data[1][0]), quat_from_list(data[1][1]))

@@ -10,8 +10,7 @@ from collections import namedtuple
 from . import CENTRALIZER_SUBGROUPS
 from .errors import ConsistencyError, DomainError
 from .hmat import QMat2, column_scaled_norm, diag, ensure_sp11, exp_m, nan_max, scalar
-from .quat import (BALL_MARGIN, I, J, ONE, Quaternion, ensure_in_ball, quat_to_list, sgn,
-                   slice_split)
+from .quat import BALL_MARGIN, I, J, ONE, Quaternion, ensure_in_ball, sgn, slice_split
 
 # Recomposition tolerance for both factorizations, relative to A's column scales.
 DECOMP_TOL = 1e-9
@@ -129,14 +128,10 @@ _PROBES = {"sp1x1": (diag(I, ONE), diag(J, ONE)), "sp1I2": (scalar(I), scalar(J)
 _PROBES["sp1xsp1"] = _PROBES["sp1x1"] + _PROBES["sp1I2"]
 
 
-def centralizer_residual(a: QMat2, subgroup: str) -> float:
+def centralizer_check(a: QMat2, subgroup: str) -> tuple[bool, float]:
     if subgroup not in _PROBES:
         raise DomainError(f"unknown subgroup {subgroup!r}; expected one of {CENTRALIZER_SUBGROUPS}")
-    return nan_max([((a @ p) - (p @ a)).max_norm() for p in _PROBES[subgroup]])
-
-
-def centralizer_check(a: QMat2, subgroup: str) -> tuple[bool, float]:
-    r = centralizer_residual(a, subgroup)
+    r = nan_max([((a @ p) - (p @ a)).max_norm() for p in _PROBES[subgroup]])
     return r <= CENTRALIZER_TOL, r
 
 
@@ -164,11 +159,3 @@ def orbit_invariant(q: Quaternion) -> float:
     den = (1.0 + tau * x) ** 2 + (tau * y0) ** 2
     return num / den
 
-
-# ---------------------------------------------------------------------------
-# JSON wire format for factorizations.
-
-def fact_to_dict(f) -> dict:
-    if isinstance(f, (SymmFactorization, SliceFactorization)):
-        return {"u": quat_to_list(f.u), "v": quat_to_list(f.v), "X": quat_to_list(f.x)}
-    raise TypeError(f"not a factorization: {f!r}")

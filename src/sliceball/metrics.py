@@ -1,5 +1,6 @@
-"""The quaternionic Poincare metric, the slice Hermitian/Riemannian/Kahler
-structures, pullback verification, and closed-form geodesics and orbits.
+"""The quaternionic Poincare metric, the slice metric slice_g as the real part
+of the Hermitian form slice_h, pullback verification, and closed-form geodesics
+and orbits.
 """
 
 from __future__ import annotations
@@ -92,11 +93,11 @@ def geodesic_table(u: Quaternion, t_min: float, t_max: float, steps: int,
     base = a if a is not None else Quaternion()
     ensure_in_ball(base, "orbit base point must lie in the open ball", name="a")
     t_min, t_max = float(t_min), float(t_max)
-    if not (math.isfinite(t_min) and math.isfinite(t_max)):
-        raise DomainError(f"table range must be finite, got [{t_min!r}, {t_max!r}]")
+    delta = t_max - t_min  # not finite when a bound is not, or when the width overflows
+    if not math.isfinite(delta):
+        raise DomainError(f"table range must have a finite width, got [{t_min!r}, {t_max!r}]")
     # np.linspace(t_min, t_max, steps), in the order numpy 2.x rounds it.
     div = steps - 1
-    delta = t_max - t_min
     step = delta / div
     if step == 0.0:  # the step underflows: scale by delta after dividing
         ts = [i / div * delta + t_min for i in range(steps)]

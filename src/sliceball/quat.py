@@ -1,4 +1,4 @@
-"""Quaternion arithmetic, slice coordinates, the open-ball guard, and the JSON wire format."""
+"""Quaternion arithmetic, slice coordinates, and the open-ball guard."""
 
 from __future__ import annotations
 
@@ -162,20 +162,3 @@ def ensure_in_ball(q: Quaternion, what: str, bound: float = 1.0, name: str = "q"
     if not r < bound:
         raise DomainError(f"{what}, |{name}| = {r!r}")
 
-
-# ---------------------------------------------------------------------------
-# JSON wire format: a quaternion is the array [w, x, y, z] of doubles.
-
-def quat_to_list(q: Quaternion) -> list[float]:
-    return [q.w, q.x, q.y, q.z]
-
-
-def quat_from_list(data) -> Quaternion:
-    """Read [w, x, y, z]; every coordinate must be a JSON number (not a string or a bool)."""
-    if (not isinstance(data, (list, tuple)) or len(data) != 4
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in data)):
-        raise ValueError(f"expected a [w, x, y, z] array of numbers, got {data!r}")
-    try:
-        return Quaternion(*data)
-    except OverflowError as exc:  # a JSON integer beyond the double range
-        raise ValueError(f"coordinate out of the double range: {exc}") from exc

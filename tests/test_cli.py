@@ -14,9 +14,15 @@ from pathlib import Path
 import pytest
 
 from sliceball import verify
-from sliceball.cli import main
-from sliceball.hmat import I11, IDENTITY, diag, exp_m, hyperbolic
-from sliceball.quat import I, ONE, Quaternion, quat_to_list
+from sliceball.cli import _mat_from_list, _quat_from_list, _quat_to_list, main
+from sliceball.hmat import I11, IDENTITY, QMat2, diag, exp_m, hyperbolic
+from sliceball.lie import SliceFactorization, SymmFactorization
+from sliceball.quat import I, J, ONE, Quaternion
+
+
+def quat_to_list(q):
+    """The CLI wire format of a quaternion: [w, x, y, z]."""
+    return [q.w, q.x, q.y, q.z]
 
 
 def mat_to_list(a):
@@ -31,6 +37,37 @@ def run_cli(capsys, monkeypatch, argv, stdin=None):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_quat_json_roundtrip():
+    q = Quaternion(1.5, -2.25, 0.125, 9.0)
+    assert _quat_from_list(_quat_to_list(q)) == q
+    assert _quat_to_list(q) == [1.5, -2.25, 0.125, 9.0]
+    for data in ([1, 2, 3], ["1", 0, 0, 0], [True, 0, 0, 0], [0, 0, None, 0], [0, 0, 0, [1]]):
+        with pytest.raises(ValueError):
+            _quat_from_list(data)
+
+
+def test_mat_json_roundtrip():
+    a = QMat2(Quaternion(1, 2, 3, 4), I, J, Quaternion(-1, 0.5, 0, 0))
+    assert _mat_from_list([[[1, 2, 3, 4], [0, 1, 0, 0]], [[0, 0, 1, 0], [-1, 0.5, 0, 0]]]) == a
+    with pytest.raises(ValueError):
+        _mat_from_list([[1, 2], [3]])
+
+
+def test_factorization_json_roundtrip(capsys, monkeypatch):
+    # decompose writes u, v and X by field name, whatever order the record keeps them in
+    want = {"u": [0.0, 1.0, 0.0, 0.0], "v": [0.0, 0.0, 1.0, 0.0], "X": [0.1, 0.2, 0.3, 0.4]}
+    x = Quaternion(0.1, 0.2, 0.3, 0.4)
+    for mode, fact in (("symm", SymmFactorization(I, J, x)),
+                       ("slice", SliceFactorization(I, x, J))):
+        monkeypatch.setattr(f"sliceball.lie.{mode}_decompose", lambda a, fact=fact: fact)
+        code, out, _ = run_cli(capsys, monkeypatch,
+                               ["decompose", "--mode", mode, "--format", "json"],
+                               stdin=json.dumps(mat_to_list(IDENTITY)))
+        payload = json.loads(out)
+        del payload["residual"]
+        assert code == 0 and payload == want
 
 
 def test_check_identity_passes(capsys, monkeypatch):
@@ -367,6 +404,28 @@ def test_no_constructor_promotes_a_real():
     assert hits == []
 
 
+def _bound_names(node):
+    """The names node binds: a def or class, an assignment target, or an import."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+        return {node.id}
+    if isinstance(node, ast.alias):
+        return {node.asname or node.name}
+    return set()
+
+
+def test_only_the_cli_knows_the_wire_format():
+    # the JSON readers and writers live in sliceball.cli alone, with or without a
+    # leading underscore
+    package = Path(__file__).resolve().parents[1] / "src" / "sliceball"
+    names = {"quat_to_list", "quat_from_list", "mat_from_list", "fact_to_dict"}
+    hits = [(path.stem, node.lineno) for path in package.glob("*.py") if path.stem != "cli"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if names & {n.lstrip("_") for n in _bound_names(node)}]
+    assert hits == []
+
+
 def test_verify_does_not_load_scipy():
     # both oracles run on numpy alone, so a full run never imports scipy
     src = Path(__file__).resolve().parents[1] / "src"
@@ -524,7 +583,7 @@ def test_a_huge_integer_coordinate_is_an_input_error(capsys, monkeypatch, argv, 
 
 
 @pytest.mark.parametrize("bounds", [["--t-min=-1", "--t-max=1e400"], ["--t-min=nan"],
-                                    ["--t-max=-inf"]])
+                                    ["--t-max=-inf"], ["--t-min=-1e308", "--t-max=1e308"]])
 def test_table_rejects_a_non_finite_range(capsys, monkeypatch, bounds):
     code, out, err = run_cli(capsys, monkeypatch, ["table", "--steps", "3"] + bounds)
     assert code == 1 and out == ""

@@ -11,7 +11,7 @@ from sliceball import verify
 from sliceball.errors import DomainError
 from sliceball.hmat import (I11, IDENTITY, QMat2, Sp11Algebra, algebra_check,
                             algebra_residual, diag, exp_general, exp_m, hyperbolic,
-                            lie_bracket, mat_from_list, off_diag, psi_embed, sigma,
+                            lie_bracket, off_diag, psi_embed, sigma,
                             sp11_check, sp11_inverse)
 from sliceball.quat import I, J, K, ONE, ZERO, Quaternion
 from sliceball.verify import sample_sphere3
@@ -209,8 +209,3 @@ def test_group_closure():
         assert sp11_check(sp11_inverse(a))[0]
 
 
-def test_mat_json_roundtrip():
-    a = QMat2(Quaternion(1, 2, 3, 4), I, J, Quaternion(-1, 0.5, 0, 0))
-    assert mat_from_list([[[1, 2, 3, 4], [0, 1, 0, 0]], [[0, 0, 1, 0], [-1, 0.5, 0, 0]]]) == a
-    with pytest.raises(ValueError):
-        mat_from_list([[1, 2], [3]])

@@ -1,6 +1,5 @@
 """Decompositions, the slice-metric isometry group, centralizers, and orbits."""
 
-import json
 import math
 
 import numpy as np
@@ -10,7 +9,7 @@ from sliceball.errors import DomainError
 from sliceball.hmat import IDENTITY, QMat2, diag, exp_m, hyperbolic, i_eps, scalar
 from sliceball.lie import (ISO_IDENTITY, IsoGElement,
                            SliceFactorization, SymmFactorization,
-                           centralizer_check, fact_to_dict, iso_g_act,
+                           centralizer_check, iso_g_act,
                            iso_g_inverse, iso_g_mul, orbit_invariant,
                            slice_compose, slice_decompose, symm_compose,
                            symm_decompose)
@@ -304,15 +303,6 @@ def test_quotient_and_translations_generate_isometries():
         moved = diag(ONE, u) @ a @ (hyperbolic(t) @ i_eps(eps))
         want = iso_g_act(IsoGElement(u, eps, t, 1), quotient_point(a))
         assert (quotient_point(moved) - want).norm() <= 1e-9
-
-
-def test_factorization_json_roundtrip():
-    want = {"u": [0.0, 1.0, 0.0, 0.0], "v": [0.0, 0.0, 1.0, 0.0], "X": [0.1, 0.2, 0.3, 0.4]}
-    x = Quaternion(0.1, 0.2, 0.3, 0.4)
-    for fact in (SymmFactorization(I, J, x), SliceFactorization(I, x, J)):
-        assert json.loads(json.dumps(fact_to_dict(fact))) == want
-    with pytest.raises(TypeError):
-        fact_to_dict(x)
 
 
 _NAN = Quaternion(math.nan, 0.0, 0.0, 0.0)

@@ -176,7 +176,7 @@ def test_geodesic_table_t_column_is_linspace():
 
 
 @pytest.mark.parametrize("t_min, t_max", [(-1.0, math.inf), (-math.inf, 1.0),
-                                          (math.nan, 1.0), (0.0, math.nan)])
+                                          (math.nan, 1.0), (0.0, math.nan), (-1e308, 1e308)])
 def test_geodesic_table_rejects_a_non_finite_range(t_min, t_max):
     with pytest.raises(DomainError, match="finite"):
         geodesic_table(ONE, t_min, t_max, 3)

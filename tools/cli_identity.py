@@ -1,0 +1,129 @@
+"""Compare the command line reports of two source trees, case by case.
+
+    python3 tools/cli_identity.py PARENT CHANGE
+
+PARENT and CHANGE are checkouts of the repository, each holding
+src/sliceball. Both run the same cases, each in a fresh process:
+
+- ``verify --suite all --seed S`` for S = 1..8, in the json, csv and human
+  formats;
+- every command of ``bench/workloads.CliOneshot`` for seeds 1..8, in the three
+  formats (the ``table`` commands, which have no format, once per seed);
+- a fixed set of malformed inputs: bad JSON, wrong shapes, strings, bools,
+  null, NaN, 1e308, a 400-digit integer, nesting deeper than the interpreter's
+  stack, and bad ``table`` arguments.
+
+A case differs when its stdout, exit code or stderr differs; verify's
+``wall time:`` line is left out of stderr. One JSON line is printed per
+differing case, then a last line ``{"cases": N, "differ": K}``. The exit code
+is 1 when K > 0. Takes no options; the oneshot commands need numpy.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = range(1, 9)
+FORMATS = ("json", "csv", "human")
+TIMEOUT_S = 300
+WORKERS = 2
+SHOWN = 300  # characters of each differing field printed
+
+_IDENTITY = [[[1, 0, 0, 0], [0, 0, 0, 0]], [[0, 0, 0, 0], [1, 0, 0, 0]]]
+_HUGE = int("1" + "0" * 400)  # beyond the double range
+_DEEP = "[" * 100000  # deeper than the interpreter's recursion limit
+
+
+def _with_entry(value) -> str:
+    """The identity matrix as JSON, with its first coordinate replaced by value."""
+    mat = [[list(q) for q in row] for row in _IDENTITY]
+    mat[0][0][0] = value
+    return json.dumps(mat)
+
+
+def verify_cases() -> list[tuple[list[str], str]]:
+    return [(["verify", "--suite", "all", "--seed", str(s), "--format", f], "")
+            for s in SEEDS for f in FORMATS]
+
+
+def oneshot_cases() -> list[tuple[list[str], str]]:
+    sys.path.insert(0, str(ROOT / "bench"))
+    from workloads import CliOneshot
+    cases = []
+    for seed in SEEDS:
+        for argv, stdin, _ in CliOneshot(ROOT, seed).commands:
+            if "--format" not in argv:
+                cases.append((argv, stdin))
+                continue
+            at = argv.index("--format") + 1
+            cases += [(argv[:at] + [f] + argv[at + 1:], stdin) for f in FORMATS]
+    return cases
+
+
+def malformed_cases() -> list[tuple[list[str], str]]:
+    bodies = ["", "{", "not json", "null", "[1, 2]", "[[1, 2], [3]]",
+              json.dumps([[[1, 0, 0], [0, 0, 0, 0]], [[0, 0, 0, 0], [1, 0, 0, 0]]]),
+              _with_entry("1"), _with_entry(True), _with_entry(None),
+              _with_entry(float("nan")), _with_entry(1e308), _with_entry(_HUGE), _DEEP]
+    commands = [["check", "--what", "sp11"], ["check", "--what", "o11"],
+                ["check", "--what", "centralizer:sp1x1"], ["decompose", "--mode", "symm"],
+                ["decompose", "--mode", "slice"]]
+    cases = [(argv, body) for argv in commands for body in bodies]
+    points = [None, "1", [0, 0, 0], [True, 0, 0, 0], [float("nan"), 0, 0, 0],
+              [1e308, 0, 0, 0], [0, _HUGE, 0, 0], [2, 0, 0, 0]]
+    cases += [(["mobius"], json.dumps({"matrix": _IDENTITY, "point": p})) for p in points]
+    cases += [(["mobius"], "{}"), (["mobius"], _DEEP)]
+    tables = [["--u", "[2,0,0,0]"], ["--u", "x"], ["--u", _DEEP], ["--steps", "1"],
+              ["--t-min=nan"], ["--t-min=-1", "--t-max=1e400"],
+              ["--t-min=-1e308", "--t-max=1e308"], ["--kind", "orbit", "--a", "[1,0,0,0]"],
+              ["--kind", "orbit", "--a", f"[{_HUGE},0,0,0]"]]
+    cases += [(["table"] + t, "") for t in tables]
+    return cases
+
+
+def run(tree: Path, argv: list[str], stdin: str) -> dict:
+    proc = subprocess.run([sys.executable, "-m", "sliceball.cli", *argv], input=stdin,
+                          capture_output=True, text=True, cwd=tree, timeout=TIMEOUT_S,
+                          env=dict(os.environ, PYTHONPATH=str(tree / "src")))
+    stderr = "".join(line for line in proc.stderr.splitlines(keepends=True)
+                     if not line.startswith("wall time:"))
+    return {"stdout": proc.stdout, "code": proc.returncode, "stderr": stderr}
+
+
+def compare(parent: Path, change: Path, cases) -> list[dict]:
+    """One record per case whose stdout, exit code or stderr differs."""
+    def one(case):
+        argv, stdin = case
+        a, b = run(parent, argv, stdin), run(change, argv, stdin)
+        fields = [k for k in a if a[k] != b[k]]
+        if not fields:
+            return None
+        return {"argv": [v[:SHOWN] for v in argv], "stdin": stdin[:SHOWN],
+                "parent": {k: a[k] if k == "code" else a[k][:SHOWN] for k in fields},
+                "change": {k: b[k] if k == "code" else b[k][:SHOWN] for k in fields}}
+    with ThreadPoolExecutor(WORKERS) as pool:
+        return [d for d in pool.map(one, cases) if d is not None]
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: python3 tools/cli_identity.py PARENT CHANGE", file=sys.stderr)
+        return 2
+    parent, change = (Path(a).resolve() for a in args)
+    cases = verify_cases() + oneshot_cases() + malformed_cases()
+    differ = compare(parent, change, cases)
+    for d in differ:
+        print(json.dumps(d, sort_keys=True))
+    print(json.dumps({"cases": len(cases), "differ": len(differ)}))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
