@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .quat import ONE, ZERO, Quaternion, sgn
+from .quat import ONE, ZERO, Quaternion, reject_entries, sgn
 
 # Residual thresholds: the group membership check is quadratic in the entries,
 # the algebra check is exactly linear.
@@ -26,6 +26,8 @@ class QMat2:
     __slots__ = ("m11", "m12", "m21", "m22")
 
     def __init__(self, m11: Quaternion, m12: Quaternion, m21: Quaternion, m22: Quaternion):
+        if not (type(m11) is type(m12) is type(m21) is type(m22) is Quaternion):
+            reject_entries("QMat2 entry", ("m11", "m12", "m21", "m22"), (m11, m12, m21, m22))
         self.m11 = m11
         self.m12 = m12
         self.m21 = m21
@@ -43,33 +45,55 @@ class QMat2:
     def entries(self) -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
         return self.m11, self.m12, self.m21, self.m22
 
+    # The operators below fill a QMat2 made with object.__new__: their entries
+    # are Quaternions by construction, so the type test of __init__ is skipped.
+
     def __add__(self, other: "QMat2") -> "QMat2":
-        return QMat2(self.m11 + other.m11, self.m12 + other.m12,
-                     self.m21 + other.m21, self.m22 + other.m22)
+        r = _new(QMat2)
+        r.m11 = self.m11 + other.m11
+        r.m12 = self.m12 + other.m12
+        r.m21 = self.m21 + other.m21
+        r.m22 = self.m22 + other.m22
+        return r
 
     def __sub__(self, other: "QMat2") -> "QMat2":
-        return QMat2(self.m11 - other.m11, self.m12 - other.m12,
-                     self.m21 - other.m21, self.m22 - other.m22)
+        r = _new(QMat2)
+        r.m11 = self.m11 - other.m11
+        r.m12 = self.m12 - other.m12
+        r.m21 = self.m21 - other.m21
+        r.m22 = self.m22 - other.m22
+        return r
 
     def __mul__(self, scalar) -> "QMat2":
         if isinstance(scalar, (int, float)):
-            return QMat2(self.m11 * scalar, self.m12 * scalar,
-                         self.m21 * scalar, self.m22 * scalar)
+            r = _new(QMat2)
+            r.m11 = self.m11 * scalar
+            r.m12 = self.m12 * scalar
+            r.m21 = self.m21 * scalar
+            r.m22 = self.m22 * scalar
+            return r
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "QMat2") -> "QMat2":
-        return QMat2(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
+        a11, a12, a21, a22 = self.m11, self.m12, self.m21, self.m22
+        b11, b12, b21, b22 = other.m11, other.m12, other.m21, other.m22
+        r = _new(QMat2)
+        r.m11 = _mul_add(a11, b11, a12, b21)
+        r.m12 = _mul_add(a11, b12, a12, b22)
+        r.m21 = _mul_add(a21, b11, a22, b21)
+        r.m22 = _mul_add(a21, b12, a22, b22)
+        return r
 
     def adjoint(self) -> "QMat2":
         """Conjugate transpose."""
-        return QMat2(self.m11.conj(), self.m21.conj(), self.m12.conj(), self.m22.conj())
+        r = _new(QMat2)
+        r.m11 = self.m11.conj()
+        r.m12 = self.m21.conj()
+        r.m21 = self.m12.conj()
+        r.m22 = self.m22.conj()
+        return r
 
     def max_norm(self) -> float:
         """The largest entry norm; NaN when an entry holds a NaN.
@@ -79,6 +103,27 @@ class QMat2:
         """
         return math.sqrt(nan_max((self.m11.norm_sq(), self.m12.norm_sq(),
                                   self.m21.norm_sq(), self.m22.norm_sq())))
+
+
+_new = object.__new__
+
+
+def _mul_add(p: Quaternion, q: Quaternion, r: Quaternion, s: Quaternion) -> Quaternion:
+    """p q + r s in one allocation.
+
+    Each coordinate rounds as (p*q) + (r*s), with the operations and their order
+    of the entrywise form p * q + r * s, so the result is the same bit for bit.
+    """
+    pw, px, py, pz = p.w, p.x, p.y, p.z
+    qw, qx, qy, qz = q.w, q.x, q.y, q.z
+    rw, rx, ry, rz = r.w, r.x, r.y, r.z
+    sw, sx, sy, sz = s.w, s.x, s.y, s.z
+    out = _new(Quaternion)
+    out.w = (pw * qw - px * qx - py * qy - pz * qz) + (rw * sw - rx * sx - ry * sy - rz * sz)
+    out.x = (pw * qx + px * qw + py * qz - pz * qy) + (rw * sx + rx * sw + ry * sz - rz * sy)
+    out.y = (pw * qy - px * qz + py * qw + pz * qx) + (rw * sy - rx * sz + ry * sw + rz * sx)
+    out.z = (pw * qz + px * qy - py * qx + pz * qw) + (rw * sz + rx * sy - ry * sx + rz * sw)
+    return out
 
 
 def nan_max(values) -> float:
@@ -195,6 +240,8 @@ class Sp11Algebra:
     __slots__ = ("p", "q", "a")
 
     def __init__(self, p: Quaternion, q: Quaternion, a: Quaternion):
+        if not (type(p) is type(q) is type(a) is Quaternion):
+            reject_entries("Sp11Algebra part", ("p", "q", "a"), (p, q, a))
         self.p = p
         self.q = q
         self.a = a
@@ -253,10 +300,15 @@ def exp_general(x: Sp11Algebra) -> QMat2:
     """Matrix exponential by scaling and squaring with a truncated series.
 
     The argument is scaled until its max-norm is at most 0.5, the series is summed
-    to 16 terms, and the result is squared back.
+    to 16 terms, and the result is squared back. The domain is a finite
+    max-norm: DomainError reports one that is infinite or NaN, which is also
+    the case when an entry's squared norm overflows. An off-diagonal block of
+    norm past about 710 overflows the result.
     """
     m = x.as_matrix()
     n = m.max_norm()
+    if not math.isfinite(n):
+        raise DomainError(f"exp_general needs a finite max-norm, got {n!r}")
     squarings = 0
     if n > _EXP_SCALE_LIMIT:
         squarings = max(0, math.ceil(math.log2(n / _EXP_SCALE_LIMIT)))
@@ -278,14 +330,12 @@ def exp_general(x: Sp11Algebra) -> QMat2:
 
 def psi_embed(a: QMat2) -> np.ndarray:
     import numpy as np
-    z = np.empty((2, 2), dtype=complex)
-    w = np.empty((2, 2), dtype=complex)
-    for (i, j), m in (((0, 0), a.m11), ((0, 1), a.m12), ((1, 0), a.m21), ((1, 1), a.m22)):
-        z[i, j], w[i, j] = complex(m.w, m.x), complex(m.y, m.z)
-    out = np.empty((4, 4), dtype=complex)
-    out[:2, :2] = z
-    out[:2, 2:] = w
-    out[2:, :2] = -w.conj()
-    out[2:, 2:] = z.conj()
-    return out
-
+    z11, w11 = complex(a.m11.w, a.m11.x), complex(a.m11.y, a.m11.z)
+    z12, w12 = complex(a.m12.w, a.m12.x), complex(a.m12.y, a.m12.z)
+    z21, w21 = complex(a.m21.w, a.m21.x), complex(a.m21.y, a.m21.z)
+    z22, w22 = complex(a.m22.w, a.m22.x), complex(a.m22.y, a.m22.z)
+    return np.array([[z11, z12, w11, w12],
+                     [z21, z22, w21, w22],
+                     [-w11.conjugate(), -w12.conjugate(), z11.conjugate(), z12.conjugate()],
+                     [-w21.conjugate(), -w22.conjugate(), z21.conjugate(), z22.conjugate()]],
+                    dtype=complex)

@@ -63,10 +63,10 @@ def pullback_residual(fn: Callable[[Quaternion], Quaternion], metric: MetricFn,
     for _ in range(trials):
         av = rng.standard_normal(4)
         bv = rng.standard_normal(4)
-        alpha = Quaternion(*av)
-        beta = Quaternion(*bv)
-        da = Quaternion(*(jac @ av))
-        db = Quaternion(*(jac @ bv))
+        alpha = Quaternion(*av.tolist())
+        beta = Quaternion(*bv.tolist())
+        da = Quaternion(*(jac @ av).tolist())
+        db = Quaternion(*(jac @ bv).tolist())
         diffs.append(abs(metric(q, alpha, beta) - metric(image, da, db)))
     return nan_max(diffs)
 

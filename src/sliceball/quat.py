@@ -34,91 +34,139 @@ class Quaternion:
     def __hash__(self):
         return hash((self.w, self.x, self.y, self.z))
 
+    # Every operator allocates its result once, through object.__new__ and the
+    # four slots: the coordinates are Python floats already, as every slot of a
+    # Quaternion is, so the float() coercion of __init__ could not change them.
+
     def __add__(self, other) -> "Quaternion":
         if type(other) is Quaternion:
-            return _q(self.w + other.w, self.x + other.x, self.y + other.y, self.z + other.z)
+            r = _new(Quaternion)
+            r.w = self.w + other.w
+            r.x = self.x + other.x
+            r.y = self.y + other.y
+            r.z = self.z + other.z
+            return r
         if isinstance(other, (int, float)):
-            s = float(other)
-            return _q(self.w + s, self.x, self.y, self.z)
+            r = _new(Quaternion)
+            r.w = self.w + float(other)
+            r.x = self.x
+            r.y = self.y
+            r.z = self.z
+            return r
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Quaternion":
         if type(other) is Quaternion:
-            return _q(self.w - other.w, self.x - other.x, self.y - other.y, self.z - other.z)
+            r = _new(Quaternion)
+            r.w = self.w - other.w
+            r.x = self.x - other.x
+            r.y = self.y - other.y
+            r.z = self.z - other.z
+            return r
         if isinstance(other, (int, float)):
-            s = float(other)
-            return _q(self.w - s, self.x, self.y, self.z)
+            r = _new(Quaternion)
+            r.w = self.w - float(other)
+            r.x = self.x
+            r.y = self.y
+            r.z = self.z
+            return r
         return NotImplemented
 
     def __rsub__(self, other) -> "Quaternion":
         return (-self).__add__(other)
 
     def __neg__(self) -> "Quaternion":
-        return _q(-self.w, -self.x, -self.y, -self.z)
+        r = _new(Quaternion)
+        r.w = -self.w
+        r.x = -self.x
+        r.y = -self.y
+        r.z = -self.z
+        return r
 
     def __mul__(self, other) -> "Quaternion":
         if type(other) is Quaternion:
             pw, px, py, pz = self.w, self.x, self.y, self.z
             qw, qx, qy, qz = other.w, other.x, other.y, other.z
-            return _q(
-                pw * qw - px * qx - py * qy - pz * qz,
-                pw * qx + px * qw + py * qz - pz * qy,
-                pw * qy - px * qz + py * qw + pz * qx,
-                pw * qz + px * qy - py * qx + pz * qw,
-            )
+            r = _new(Quaternion)
+            r.w = pw * qw - px * qx - py * qy - pz * qz
+            r.x = pw * qx + px * qw + py * qz - pz * qy
+            r.y = pw * qy - px * qz + py * qw + pz * qx
+            r.z = pw * qz + px * qy - py * qx + pz * qw
+            return r
+        if type(other) is float:
+            r = _new(Quaternion)
+            r.w = self.w * other
+            r.x = self.x * other
+            r.y = self.y * other
+            r.z = self.z * other
+            return r
         return self.__rmul__(other)
 
     def __rmul__(self, other) -> "Quaternion":
-        # Real scalars commute with everything.
+        # Real scalars commute with everything; ints, bools and numpy scalars
+        # are converted here.
         if isinstance(other, (int, float)):
             s = float(other)
-            return _q(self.w * s, self.x * s, self.y * s, self.z * s)
+            r = _new(Quaternion)
+            r.w = self.w * s
+            r.x = self.x * s
+            r.y = self.y * s
+            r.z = self.z * s
+            return r
         return NotImplemented
 
     def __truediv__(self, other) -> "Quaternion":
         # Quaternion/quaternion division is ambiguous (left vs right); use inverse().
         if isinstance(other, (int, float)):
             s = float(other)
-            return _q(self.w / s, self.x / s, self.y / s, self.z / s)
+            r = _new(Quaternion)
+            r.w = self.w / s
+            r.x = self.x / s
+            r.y = self.y / s
+            r.z = self.z / s
+            return r
         return NotImplemented
 
     def conj(self) -> "Quaternion":
-        return _q(self.w, -self.x, -self.y, -self.z)
+        r = _new(Quaternion)
+        r.w = self.w
+        r.x = -self.x
+        r.y = -self.y
+        r.z = -self.z
+        return r
 
     def norm_sq(self) -> float:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
     def norm(self) -> float:
-        return math.sqrt(self.norm_sq())
+        return math.sqrt(self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z)
 
     def inverse(self) -> "Quaternion":
-        n2 = self.norm_sq()
+        n2 = self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
         if n2 == 0.0:
             raise DomainError("inverse of the zero quaternion")
-        return _q(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+        r = _new(Quaternion)
+        r.w = self.w / n2
+        r.x = -self.x / n2
+        r.y = -self.y / n2
+        r.z = -self.z / n2
+        return r
 
     def im(self) -> "Quaternion":
-        return _q(0.0, self.x, self.y, self.z)
+        r = _new(Quaternion)
+        r.w = 0.0
+        r.x = self.x
+        r.y = self.y
+        r.z = self.z
+        return r
 
     def im_norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
 
 _new = object.__new__
-
-
-def _q(w: float, x: float, y: float, z: float) -> Quaternion:
-    """Internal constructor for coordinates that are already Python floats, as
-    every slot of a Quaternion is: it skips the float() coercion of __init__,
-    which could not change them."""
-    q = _new(Quaternion)
-    q.w = w
-    q.x = x
-    q.y = y
-    q.z = z
-    return q
 
 
 ZERO = Quaternion(0.0, 0.0, 0.0, 0.0)
@@ -155,10 +203,20 @@ def slice_split(q: Quaternion) -> tuple[float, float, Quaternion]:
     return q.w, y, Quaternion(0.0, q.x / y, q.y / y, q.z / y)
 
 
+def reject_entries(owner: str, slots: tuple[str, ...], values) -> None:
+    """Raise TypeError("<owner> <slot> must be a Quaternion, ...") for the first
+    value that is not a Quaternion; the container constructors call it when
+    their own type test fails."""
+    for slot, value in zip(slots, values):
+        if type(value) is not Quaternion:
+            raise TypeError(f"{owner} {slot} must be a Quaternion, "
+                            f"got {type(value).__name__} {value!r}")
+
+
 def ensure_in_ball(q: Quaternion, what: str, bound: float = 1.0, name: str = "q") -> None:
     """Raise DomainError("<what>, |<name>| = <norm>") unless |q| < bound; a NaN
     point fails the comparison and is rejected too."""
-    r = q.norm()
+    r = math.sqrt(q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z)
     if not r < bound:
         raise DomainError(f"{what}, |{name}| = {r!r}")
 

@@ -12,7 +12,10 @@ from collections import namedtuple
 
 from .errors import DomainError
 from .hmat import QMat2, psi_embed
-from .quat import BALL_MARGIN, ONE, ZERO, Quaternion, slice_split
+from .quat import BALL_MARGIN, ONE, ZERO, Quaternion, reject_entries, slice_split
+
+
+_new = object.__new__
 
 
 class StarPoly:
@@ -23,6 +26,9 @@ class StarPoly:
 
     def __init__(self, coeffs):
         cs = list(coeffs)
+        for n, c in enumerate(cs):
+            if type(c) is not Quaternion:
+                reject_entries("StarPoly", (f"coefficient {n}",), (c,))
         while cs and cs[-1] == ZERO:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -59,11 +65,24 @@ class StarPoly:
         return StarPoly(out)
 
     def eval(self, q: Quaternion) -> Quaternion:
-        """Pointwise value of sum q^n a_n (Horner, powers multiply from the left)."""
-        acc = ZERO
+        """Pointwise value of sum q^n a_n (Horner, powers multiply from the left).
+
+        The accumulator lives in four floats, each step rounding as
+        acc = q * acc + c does, and the value is allocated once.
+        """
+        qw, qx, qy, qz = q.w, q.x, q.y, q.z
+        w = x = y = z = 0.0
         for c in reversed(self.coeffs):
-            acc = q * acc + c
-        return acc
+            w, x, y, z = (qw * w - qx * x - qy * y - qz * z + c.w,
+                          qw * x + qx * w + qy * z - qz * y + c.x,
+                          qw * y - qx * z + qy * w + qz * x + c.y,
+                          qw * z + qx * y - qy * x + qz * w + c.z)
+        out = _new(Quaternion)
+        out.w = w
+        out.x = x
+        out.y = y
+        out.z = z
+        return out
 
 
 def reg_conj(f: StarPoly) -> StarPoly:
@@ -136,7 +155,7 @@ def quadratic_root_in_ball(p: StarPoly) -> RootReport:
     lead = a2.conj().inverse()
     companion = QMat2(ZERO, ONE, -(lead * a0.conj()), -(lead * a1.conj()))
     clusters: list[list[Quaternion]] = []
-    for t1, t2, s1, s2 in np.linalg.eig(psi_embed(companion))[1].T:
+    for t1, t2, s1, s2 in np.linalg.eig(psi_embed(companion))[1].T.tolist():
         # The complex 4-vector (t, s) is the quaternion vector t - conj(s) j.
         v1 = Quaternion(t1.real, t1.imag, -s1.real, s1.imag)
         v2 = Quaternion(t2.real, t2.imag, -s2.real, s2.imag)

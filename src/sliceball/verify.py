@@ -80,7 +80,8 @@ def sample_sphere3(rng) -> Quaternion:
     while n < 1e-12:  # pragma: no cover - probability ~0
         v = rng.standard_normal(4)
         n = math.sqrt(v.dot(v))
-    return Quaternion(v[0] / n, v[1] / n, v[2] / n, v[3] / n)
+    w, x, y, z = v.tolist()
+    return Quaternion(w / n, x / n, y / n, z / n)
 
 
 def sample_imaginary_unit(rng) -> Quaternion:
@@ -90,7 +91,8 @@ def sample_imaginary_unit(rng) -> Quaternion:
     while n < 1e-12:  # pragma: no cover
         v = rng.standard_normal(3)
         n = math.sqrt(v.dot(v))
-    return Quaternion(0.0, v[0] / n, v[1] / n, v[2] / n)
+    x, y, z = v.tolist()
+    return Quaternion(0.0, x / n, y / n, z / n)
 
 
 def sample_ball(rng, radius: float = 1.0) -> Quaternion:
@@ -106,7 +108,7 @@ def sample_real_interval(rng) -> Quaternion:
 
 
 def _rand_quat(rng, scale: float = 1.0) -> Quaternion:
-    return Quaternion(*(scale * rng.standard_normal(4)))
+    return Quaternion(*(scale * rng.standard_normal(4)).tolist())
 
 
 def _rand_alg(rng, scale: float = 1.0) -> Sp11Algebra:
@@ -346,7 +348,7 @@ def _newton_zero(p: StarPoly, start: Quaternion) -> Quaternion:
         if val.norm() <= 1e-12:
             return q
         step = np.linalg.solve(differential(p.eval, q, 1e-6), [val.w, val.x, val.y, val.z])
-        q = q - Quaternion(*step)
+        q = q - Quaternion(*step.tolist())
     if not p.eval(q).norm() <= 1e-10:
         raise ConsistencyError(f"Newton did not converge from {start!r}")
     return q
@@ -489,8 +491,8 @@ def check_regular_pullback(rng, trials: int) -> Residuals:
         jac = differential(fn, q)
         for _ in range(6):
             av, bv = rng.standard_normal(4), rng.standard_normal(4)
-            alpha, beta = Quaternion(*av), Quaternion(*bv)
-            da, db = Quaternion(*(jac @ av)), Quaternion(*(jac @ bv))
+            alpha, beta = Quaternion(*av.tolist()), Quaternion(*bv.tolist())
+            da, db = Quaternion(*(jac @ av).tolist()), Quaternion(*(jac @ bv).tolist())
             yield abs(slice_g(q, alpha, beta) - (da * db.conj()).w)
         yield pullback_residual(fn, slice_g, q, rng, trials=4)
 

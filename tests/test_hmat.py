@@ -2,10 +2,12 @@
 complex embedding oracle."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, strategies as st
 
 from sliceball import verify
 from sliceball.errors import DomainError
@@ -38,6 +40,66 @@ def test_mat_ops_examples():
     assert IDENTITY @ a == a
     assert diag(I, J).adjoint() == diag(-I, -J)
     assert I11 @ I11 == IDENTITY
+
+
+# Entries for the bit-for-bit pins: any double, with NaN, both infinities,
+# both zeros and the smallest subnormal drawn often.
+anyfloat = st.one_of(st.sampled_from((math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324)),
+                     st.floats())
+anyquat = st.builds(Quaternion, anyfloat, anyfloat, anyfloat, anyfloat)
+anymat = st.builds(QMat2, anyquat, anyquat, anyquat, anyquat)
+
+
+def _mbits(m: QMat2) -> bytes:
+    # every NaN packs as math.nan: CPython does not keep a NaN's sign and payload stable
+    # (see tests/test_quat.py)
+    coords = (c for e in m.entries() for c in (e.w, e.x, e.y, e.z))
+    return struct.pack("<16d", *(math.nan if c != c else c for c in coords))
+
+
+@given(anymat, anymat)
+def test_matmul_is_the_entrywise_form_bit_for_bit(a, b):
+    # every entry rounds as (p*q) + (r*s), the quaternion operators' own rounding
+    want = QMat2(a.m11 * b.m11 + a.m12 * b.m21, a.m11 * b.m12 + a.m12 * b.m22,
+                 a.m21 * b.m11 + a.m22 * b.m21, a.m21 * b.m12 + a.m22 * b.m22)
+    assert _mbits(a @ b) == _mbits(want)
+
+
+@given(anymat, anymat, anyfloat)
+def test_entrywise_operators_bit_for_bit(a, b, s):
+    assert _mbits(a + b) == _mbits(QMat2(*(p + q for p, q in zip(a.entries(), b.entries()))))
+    assert _mbits(a - b) == _mbits(QMat2(*(p - q for p, q in zip(a.entries(), b.entries()))))
+    assert _mbits(a * s) == _mbits(s * a) == _mbits(QMat2(*(p * s for p in a.entries())))
+    assert _mbits(a.adjoint()) == _mbits(
+        QMat2(a.m11.conj(), a.m21.conj(), a.m12.conj(), a.m22.conj()))
+
+
+@pytest.mark.parametrize("slot", range(4))
+@pytest.mark.parametrize("bad", [1.0, 1, np.float64(1.0), None],
+                         ids=["float", "int", "numpy", "none"])
+def test_a_matrix_entry_must_be_a_quaternion(slot, bad):
+    entries = [ZERO, ONE, ONE, ZERO]
+    entries[slot] = bad
+    name = ("m11", "m12", "m21", "m22")[slot]
+    with pytest.raises(TypeError, match=f"QMat2 entry {name} must be a Quaternion"):
+        QMat2(*entries)
+
+
+@pytest.mark.parametrize("slot", range(3))
+def test_an_algebra_part_must_be_a_quaternion(slot):
+    parts = [I, J, ONE]
+    parts[slot] = 0.5
+    with pytest.raises(TypeError, match=f"Sp11Algebra part {'pqa'[slot]} must be a Quaternion"):
+        Sp11Algebra(*parts)
+
+
+@pytest.mark.parametrize("block", [Quaternion(1e300), Quaternion(0, math.inf),
+                                   Quaternion(math.nan)])
+def test_exp_general_rejects_a_non_finite_max_norm(block):
+    with pytest.raises(DomainError, match="exp_general needs a finite max-norm, got (inf|nan)"):
+        exp_general(off_diag(block))
+    with pytest.raises(DomainError):
+        exp_general(Sp11Algebra(Quaternion(0, 0, block.w, block.x), ZERO, ZERO))
 
 
 def test_adjoint_antiautomorphism():

@@ -150,6 +150,13 @@ def test_differential_examples():
     assert _orientation_sign(lambda p: p.conj(), q) == -1.0
 
 
+def test_differential_is_c_contiguous():
+    # the pullback checks multiply it into tangent vectors, and the layout
+    # decides how that product rounds
+    jac = differential(lambda p: p * p, Quaternion(0.1, 0.2, 0.3, -0.1))
+    assert jac.flags["C_CONTIGUOUS"] and jac.shape == (4, 4)
+
+
 def test_differential_step_underflow():
     with pytest.raises(DomainError):
         differential(lambda p: p, Quaternion(0.5), h=0.0)

@@ -1,6 +1,8 @@
 """Quaternion arithmetic, slice coordinates, and sampling."""
 
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -45,13 +47,77 @@ def _coords_are_floats(q: Quaternion) -> bool:
 
 def test_every_slot_holds_an_exact_float():
     # the public constructor and the int and numpy scalar paths coerce, so the
-    # internal builder, which skips float(), only ever sees floats
+    # operators, which allocate without float(), only ever see floats
     q = Quaternion(1, np.float64(2), True, 4)
     assert _coords_are_floats(q) and q == Quaternion(1.0, 2.0, 1.0, 4.0)
     results = [q * np.float64(2), q * 3, 3 * q, np.float64(2) * q, q + 1, 1 + q,
                q - 1, 1 - q, q / 2, q / np.float64(2), q * 0.5, q + 0.5,
                -q, q.conj(), q.inverse(), q.im(), q * q, q + q, q - q]
     assert all(_coords_are_floats(r) for r in results)
+
+
+# Coordinates for the bit-for-bit pins: any double, with NaN, both infinities,
+# both zeros and the smallest subnormal drawn often.
+SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324)
+anyfloat = st.one_of(st.sampled_from(SPECIAL), st.floats())
+anyquat = st.builds(Quaternion, anyfloat, anyfloat, anyfloat, anyfloat)
+
+
+def _bits(*values) -> bytes:
+    # Every NaN packs as math.nan: CPython itself does not keep a NaN's sign
+    # and payload stable, since `x * y` of two NaNs returns the other operand's
+    # NaN once the interpreter specializes the multiplication.
+    return struct.pack(f"<{len(values)}d", *(math.nan if v != v else v for v in values))
+
+
+def _qbits(q: Quaternion) -> bytes:
+    return _bits(q.w, q.x, q.y, q.z)
+
+
+@given(anyquat, anyquat)
+def test_mul_is_the_hamilton_product_bit_for_bit(p, q):
+    pw, px, py, pz = p.w, p.x, p.y, p.z
+    qw, qx, qy, qz = q.w, q.x, q.y, q.z
+    assert _qbits(p * q) == _bits(pw * qw - px * qx - py * qy - pz * qz,
+                                  pw * qx + px * qw + py * qz - pz * qy,
+                                  pw * qy - px * qz + py * qw + pz * qx,
+                                  pw * qz + px * qy - py * qx + pz * qw)
+
+
+@given(anyquat, anyquat)
+def test_add_and_sub_are_coordinatewise_bit_for_bit(p, q):
+    assert _qbits(p + q) == _bits(p.w + q.w, p.x + q.x, p.y + q.y, p.z + q.z)
+    assert _qbits(p - q) == _bits(p.w - q.w, p.x - q.x, p.y - q.y, p.z - q.z)
+
+
+@given(anyquat, anyfloat)
+def test_scalar_operators_bit_for_bit(q, s):
+    scaled = _bits(q.w * s, q.x * s, q.y * s, q.z * s)
+    assert _qbits(q * s) == _qbits(s * q) == _qbits(q * np.float64(s)) == scaled
+    assert _qbits(q + s) == _qbits(s + q) == _bits(q.w + s, q.x, q.y, q.z)
+    assert _qbits(q - s) == _bits(q.w - s, q.x, q.y, q.z)
+    if s == 0.0:
+        with pytest.raises(ZeroDivisionError):
+            q / s
+    else:
+        assert _qbits(q / s) == _bits(q.w / s, q.x / s, q.y / s, q.z / s)
+
+
+@given(anyquat)
+def test_unary_operators_bit_for_bit(q):
+    n2 = q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z
+    assert _qbits(-q) == _bits(-q.w, -q.x, -q.y, -q.z)
+    assert _qbits(q.conj()) == _bits(q.w, -q.x, -q.y, -q.z)
+    assert _qbits(q.im()) == _bits(0.0, q.x, q.y, q.z)
+    assert _bits(q.norm_sq(), q.norm()) == _bits(n2, math.sqrt(n2))
+    if n2 == 0.0:
+        with pytest.raises(DomainError):
+            q.inverse()
+    else:
+        assert _qbits(q.inverse()) == _bits(q.w / n2, -q.x / n2, -q.y / n2, -q.z / n2)
+    if not math.sqrt(n2) < 0.5:
+        with pytest.raises(DomainError, match=re.escape(f"|q| = {math.sqrt(n2)!r}")):
+            ensure_in_ball(q, "test", 0.5)
 
 
 @given(quats, quats)
