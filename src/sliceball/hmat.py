@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .quat import ONE, ZERO, Quaternion, reject_entries, sgn
+from .quat import ONE, ZERO, Quaternion, _reject_entries, sgn
 
 # Residual thresholds: the group membership check is quadratic in the entries,
 # the algebra check is exactly linear.
@@ -27,7 +27,7 @@ class QMat2:
 
     def __init__(self, m11: Quaternion, m12: Quaternion, m21: Quaternion, m22: Quaternion):
         if not (type(m11) is type(m12) is type(m21) is type(m22) is Quaternion):
-            reject_entries("QMat2 entry", ("m11", "m12", "m21", "m22"), (m11, m12, m21, m22))
+            _reject_entries("QMat2 entry", ("m11", "m12", "m21", "m22"), (m11, m12, m21, m22))
         self.m11 = m11
         self.m12 = m12
         self.m21 = m21
@@ -241,7 +241,7 @@ class Sp11Algebra:
 
     def __init__(self, p: Quaternion, q: Quaternion, a: Quaternion):
         if not (type(p) is type(q) is type(a) is Quaternion):
-            reject_entries("Sp11Algebra part", ("p", "q", "a"), (p, q, a))
+            _reject_entries("Sp11Algebra part", ("p", "q", "a"), (p, q, a))
         self.p = p
         self.q = q
         self.a = a

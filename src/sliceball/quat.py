@@ -95,18 +95,10 @@ class Quaternion:
             r.y = pw * qy - px * qz + py * qw + pz * qx
             r.z = pw * qz + px * qy - py * qx + pz * qw
             return r
-        if type(other) is float:
-            r = _new(Quaternion)
-            r.w = self.w * other
-            r.x = self.x * other
-            r.y = self.y * other
-            r.z = self.z * other
-            return r
         return self.__rmul__(other)
 
     def __rmul__(self, other) -> "Quaternion":
-        # Real scalars commute with everything; ints, bools and numpy scalars
-        # are converted here.
+        # Real scalars commute with everything.
         if isinstance(other, (int, float)):
             s = float(other)
             r = _new(Quaternion)
@@ -141,10 +133,10 @@ class Quaternion:
         return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
 
     def norm(self) -> float:
-        return math.sqrt(self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z)
+        return math.sqrt(self.norm_sq())
 
     def inverse(self) -> "Quaternion":
-        n2 = self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
+        n2 = self.norm_sq()
         if n2 == 0.0:
             raise DomainError("inverse of the zero quaternion")
         r = _new(Quaternion)
@@ -203,7 +195,7 @@ def slice_split(q: Quaternion) -> tuple[float, float, Quaternion]:
     return q.w, y, Quaternion(0.0, q.x / y, q.y / y, q.z / y)
 
 
-def reject_entries(owner: str, slots: tuple[str, ...], values) -> None:
+def _reject_entries(owner: str, slots, values) -> None:
     """Raise TypeError("<owner> <slot> must be a Quaternion, ...") for the first
     value that is not a Quaternion; the container constructors call it when
     their own type test fails."""
@@ -216,7 +208,7 @@ def reject_entries(owner: str, slots: tuple[str, ...], values) -> None:
 def ensure_in_ball(q: Quaternion, what: str, bound: float = 1.0, name: str = "q") -> None:
     """Raise DomainError("<what>, |<name>| = <norm>") unless |q| < bound; a NaN
     point fails the comparison and is rejected too."""
-    r = math.sqrt(q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z)
+    r = q.norm()
     if not r < bound:
         raise DomainError(f"{what}, |{name}| = {r!r}")
 

@@ -12,7 +12,7 @@ from collections import namedtuple
 
 from .errors import DomainError
 from .hmat import QMat2, psi_embed
-from .quat import BALL_MARGIN, ONE, ZERO, Quaternion, reject_entries, slice_split
+from .quat import BALL_MARGIN, ONE, ZERO, Quaternion, _reject_entries, slice_split
 
 
 _new = object.__new__
@@ -26,9 +26,8 @@ class StarPoly:
 
     def __init__(self, coeffs):
         cs = list(coeffs)
-        for n, c in enumerate(cs):
-            if type(c) is not Quaternion:
-                reject_entries("StarPoly", (f"coefficient {n}",), (c,))
+        if any(type(c) is not Quaternion for c in cs):
+            _reject_entries("StarPoly", [f"coefficient {n}" for n in range(len(cs))], cs)
         while cs and cs[-1] == ZERO:
             cs.pop()
         self.coeffs = tuple(cs)

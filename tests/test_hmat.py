@@ -2,13 +2,13 @@
 complex embedding oracle."""
 
 import math
-import struct
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
+from test_quat import _bits, anyfloat, anyquat
 from sliceball import verify
 from sliceball.errors import DomainError
 from sliceball.hmat import (I11, IDENTITY, QMat2, Sp11Algebra, algebra_check,
@@ -42,19 +42,11 @@ def test_mat_ops_examples():
     assert I11 @ I11 == IDENTITY
 
 
-# Entries for the bit-for-bit pins: any double, with NaN, both infinities,
-# both zeros and the smallest subnormal drawn often.
-anyfloat = st.one_of(st.sampled_from((math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324)),
-                     st.floats())
-anyquat = st.builds(Quaternion, anyfloat, anyfloat, anyfloat, anyfloat)
 anymat = st.builds(QMat2, anyquat, anyquat, anyquat, anyquat)
 
 
 def _mbits(m: QMat2) -> bytes:
-    # every NaN packs as math.nan: CPython does not keep a NaN's sign and payload stable
-    # (see tests/test_quat.py)
-    coords = (c for e in m.entries() for c in (e.w, e.x, e.y, e.z))
-    return struct.pack("<16d", *(math.nan if c != c else c for c in coords))
+    return _bits(*(c for e in m.entries() for c in (e.w, e.x, e.y, e.z)))
 
 
 @given(anymat, anymat)

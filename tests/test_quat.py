@@ -56,8 +56,9 @@ def test_every_slot_holds_an_exact_float():
     assert all(_coords_are_floats(r) for r in results)
 
 
-# Coordinates for the bit-for-bit pins: any double, with NaN, both infinities,
-# both zeros and the smallest subnormal drawn often.
+# Coordinates for the bit-for-bit pins, also imported by test_hmat.py and
+# test_starpoly.py: any double, with NaN, both infinities, both zeros and the
+# smallest subnormal drawn often.
 SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324)
 anyfloat = st.one_of(st.sampled_from(SPECIAL), st.floats())
 anyquat = st.builds(Quaternion, anyfloat, anyfloat, anyfloat, anyfloat)

@@ -1,12 +1,10 @@
 """Star-product calculus, root finding, and the regularity residual."""
 
-import math
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from test_quat import _qbits, anyquat
 from sliceball.errors import DomainError, PoleError
 from sliceball.quat import I, J, K, ONE, ZERO, Quaternion
 from sliceball.starpoly import (StarPoly, quadratic_root_in_ball, reg_conj,
@@ -73,24 +71,12 @@ def test_eval_examples():
     assert (StarPoly([Quaternion(), a]).eval(p) - p * a).norm() == 0.0
 
 
-anyfloat = st.one_of(st.sampled_from((math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324)),
-                     st.floats())
-anyquat = st.builds(Quaternion, anyfloat, anyfloat, anyfloat, anyfloat)
-
-
-def _bits(q: Quaternion) -> bytes:
-    # every NaN packs as math.nan: CPython does not keep a NaN's sign and payload stable
-    # (see tests/test_quat.py)
-    coords = (q.w, q.x, q.y, q.z)
-    return struct.pack("<4d", *(math.nan if c != c else c for c in coords))
-
-
 @given(st.lists(anyquat, max_size=6).map(StarPoly), anyquat)
 def test_eval_is_horner_bit_for_bit(f, q):
     acc = ZERO
     for c in reversed(f.coeffs):
         acc = q * acc + c
-    assert _bits(f.eval(q)) == _bits(acc)
+    assert _qbits(f.eval(q)) == _qbits(acc)
 
 
 @pytest.mark.parametrize("coeffs, slot", [([0.5, ONE], 0), ([ONE, I, 2], 2),

@@ -67,8 +67,7 @@ class Worker:
         self.proc.wait()
 
 
-def pair_times(parent: Path, change: Path, checks=None, reps: int = REPS,
-               seed: int = SEED) -> list[dict]:
+def pair_times(parent: Path, change: Path, checks=None, reps: int = REPS) -> list[dict]:
     """One record per check: each side's min and median CPU ms over reps runs,
     and whether the two sides agreed on every value."""
     workers = {}
@@ -84,7 +83,7 @@ def pair_times(parent: Path, change: Path, checks=None, reps: int = REPS,
         for rep in range(reps):
             for k, name in enumerate(checks):
                 for side in (SIDES if (rep + k) % 2 == 0 else SIDES[::-1]):
-                    seconds, value = workers[side].run(names.index(name), seed)
+                    seconds, value = workers[side].run(names.index(name), SEED)
                     times[name][side].append(1e3 * seconds)
                     values[name].add(value)
     finally:
