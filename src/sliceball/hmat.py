@@ -10,6 +10,7 @@ column from (m12, m22).
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DomainError
 from .quat import ONE, ZERO, Quaternion, _reject_entries, sgn
@@ -282,16 +283,19 @@ def exp_m(q: Quaternion) -> QMat2:
     """Closed-form exponential of the off-diagonal element with block q.
 
     exp [[0, conj(q)], [q, 0]] = [[cosh r, sinh r conj(u)], [sinh r u, cosh r]]
-    with r = |q| and u = sgn(q).
+    with r = |q| and u = sgn(q); DomainError unless r <= acosh(max double) ~ 710.476.
     """
     r = q.norm()
     if r == 0.0:
         return IDENTITY
+    if not r <= _COSH_MAX_ARG:
+        raise DomainError(f"exp_m needs |q| <= acosh(max double) = {_COSH_MAX_ARG!r}, got {r!r}")
     u = sgn(q)
     c, s = Quaternion(math.cosh(r)), math.sinh(r)
     return QMat2(c, u.conj() * s, u * s, c)
 
 
+_COSH_MAX_ARG = math.acosh(sys.float_info.max)  # exp_m's domain: cosh overflows past it
 _EXP_TERMS = 16
 _EXP_SCALE_LIMIT = 0.5
 
@@ -300,10 +304,9 @@ def exp_general(x: Sp11Algebra) -> QMat2:
     """Matrix exponential by scaling and squaring with a truncated series.
 
     The argument is scaled until its max-norm is at most 0.5, the series is summed
-    to 16 terms, and the result is squared back. The domain is a finite
-    max-norm: DomainError reports one that is infinite or NaN, which is also
-    the case when an entry's squared norm overflows. An off-diagonal block of
-    norm past about 710 overflows the result.
+    to 16 terms, and the result is squared back. DomainError reports a max-norm
+    that is not finite (also when an entry's squared norm overflows) and a result
+    with an entry that is not finite (an off-diagonal block past about 710).
     """
     m = x.as_matrix()
     n = m.max_norm()
@@ -319,6 +322,8 @@ def exp_general(x: Sp11Algebra) -> QMat2:
         total = total + term
     for _ in range(squarings):
         total = total @ total
+    if not all(math.isfinite(c) for e in total.entries() for c in (e.w, e.x, e.y, e.z)):
+        raise DomainError(f"exp_general overflows: max-norm {n!r} gives a non-finite entry")
     return total
 
 

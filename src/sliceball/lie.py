@@ -10,7 +10,7 @@ from collections import namedtuple
 from . import CENTRALIZER_SUBGROUPS
 from .errors import ConsistencyError, DomainError
 from .hmat import QMat2, column_scaled_norm, diag, ensure_sp11, exp_m, nan_max, scalar
-from .quat import BALL_MARGIN, I, J, ONE, Quaternion, ensure_in_ball, sgn, slice_split
+from .quat import I, J, ONE, Quaternion, ensure_in_ball, ensure_unit, sgn, slice_split
 
 # Recomposition tolerance for both factorizations, relative to A's column scales.
 DECOMP_TOL = 1e-9
@@ -90,6 +90,9 @@ class IsoGElement(namedtuple("IsoGElement", "u eps1 t eps2")):
     def __new__(cls, u: Quaternion, eps1: int = 1, t: float = 0.0, eps2: int = 1):
         if eps1 not in (1, -1) or eps2 not in (1, -1):
             raise DomainError("eps1 and eps2 must be +1 or -1")
+        ensure_unit(u, "an isometry needs a unit quaternion u")
+        if not math.isfinite(t):
+            raise DomainError(f"an isometry needs a finite t, got {t!r}")
         return super().__new__(cls, u, eps1, t, eps2)
 
 
@@ -137,25 +140,14 @@ def centralizer_check(a: QMat2, subgroup: str) -> tuple[bool, float]:
 
 # ---------------------------------------------------------------------------
 # Orbit classification: every ball point lies on a unique isometry orbit, indexed
-# by the y >= 0 at which the orbit crosses the imaginary axis (0 on the real axis).
+# by the y >= 0 at which the orbit crosses the imaginary axis (0 on the real axis):
+# for q = x + y0*I and d = 1 - |q|^2, y = 2 y0 / (|1 - q^2| + d).
 
 def orbit_invariant(q: Quaternion) -> float:
-    """The crossing height y of q's orbit, computed in q's slice.
-
-    The hyperbolic translations move x + y0*i along tau^2 x + tau (1+x^2+y0^2) + x = 0;
-    the root tau in (-1, 1) carries the point onto the imaginary axis.
-    """
-    ensure_in_ball(q, "orbit invariant needs an interior point", 1.0 - BALL_MARGIN)
-    x, y0, _ = slice_split(q)
-    if y0 == 0.0:
-        return 0.0
-    if x == 0.0:
-        return y0
-    b = 1.0 + x * x + y0 * y0
-    # Product of the two real roots is 1; the stable small root lies in (-1, 1).
-    big = -(b + math.sqrt(b * b - 4.0 * x * x)) / 2.0
-    tau = x / big
-    num = y0 * (1.0 - tau * tau)
-    den = (1.0 + tau * x) ** 2 + (tau * y0) ** 2
-    return num / den
-
+    """The root in [0, 1) of y0 y^2 + d y - y0, as |1 - q^2|^2 = d^2 + 4 y0^2. d is
+    formed from (1 - x)(1 + x) to keep its relative accuracy near the real axis,
+    where y ~ y0/d; rounded below 0 next to the sphere, it counts as 0 (y = 1)."""
+    ensure_in_ball(q, "orbit invariant needs an interior point")
+    x, y0, _ = slice_split(q)  # rescaled: a tiny imaginary part does not underflow
+    d = max(0.0, (1.0 - x) * (1.0 + x) - y0 * y0)
+    return 2.0 * y0 / (math.hypot(d, 2.0 * y0) + d)

@@ -1,6 +1,10 @@
 """The quaternionic Poincare metric, the slice metric slice_g as the real part
 of the Hermitian form slice_h, pullback verification, and closed-form geodesics
 and orbits.
+
+slice_g(q; a, b) = Re(a_par conj(b_par)) / d^2 + Re(a_perp conj(b_perp)) / |1 - q^2|^2 with
+d = 1 - |q|^2 and a_par, b_par in q's slice: so g_S <= g_P, equal along each slice, and
+rho = g_S/g_P across it is (d / |1 - q^2|)^2 = ((1 - y^2)/(1 + y^2))^2 at the orbit invariant y.
 """
 
 from __future__ import annotations
@@ -11,9 +15,7 @@ from typing import Callable
 from .errors import DomainError
 from .hmat import nan_max
 from .mobius import differential
-from .quat import ONE, Quaternion, ensure_in_ball
-
-UNIT_TOL = 1e-9  # how far | |u| - 1 | may stray for a table direction u
+from .quat import ONE, Quaternion, ensure_in_ball, ensure_unit
 
 MetricFn = Callable[[Quaternion, Quaternion, Quaternion], float]
 
@@ -88,8 +90,7 @@ def geodesic_table(u: Quaternion, t_min: float, t_max: float, steps: int,
     """Sample rows (t, point) of the orbit through a (origin geodesic when a is 0)."""
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
-    if not abs(u.norm() - 1.0) <= UNIT_TOL:  # also rejects NaN and infinity
-        raise DomainError(f"orbit direction must be a unit quaternion, |u| = {u.norm()!r}")
+    ensure_unit(u, "orbit direction must be a unit quaternion")
     base = a if a is not None else Quaternion()
     ensure_in_ball(base, "orbit base point must lie in the open ball", name="a")
     t_min, t_max = float(t_min), float(t_max)

@@ -7,9 +7,7 @@ import sys
 
 from .errors import DomainError
 
-# Open-ball margin: ball points must satisfy |q| < 1 - BALL_MARGIN.  Guards
-# atanh and (1 - |q|^2)^-2 evaluations near the boundary.
-BALL_MARGIN = 1e-12
+UNIT_TOL = 1e-9  # how far | |u| - 1 | may stray for a unit quaternion u
 
 
 class Quaternion:
@@ -205,10 +203,16 @@ def _reject_entries(owner: str, slots, values) -> None:
                             f"got {type(value).__name__} {value!r}")
 
 
-def ensure_in_ball(q: Quaternion, what: str, bound: float = 1.0, name: str = "q") -> None:
-    """Raise DomainError("<what>, |<name>| = <norm>") unless |q| < bound; a NaN
-    point fails the comparison and is rejected too."""
+def ensure_in_ball(q: Quaternion, what: str, name: str = "q") -> None:
+    """Raise DomainError("<what>, |<name>| = <norm>") unless |q| < 1 (a NaN fails too)."""
     r = q.norm()
-    if not r < bound:
+    if not r < 1.0:
+        raise DomainError(f"{what}, |{name}| = {r!r}")
+
+
+def ensure_unit(u: Quaternion, what: str, name: str = "u") -> None:
+    """Raise DomainError as ensure_in_ball does unless | |u| - 1 | <= UNIT_TOL."""
+    r = u.norm()
+    if not abs(r - 1.0) <= UNIT_TOL:
         raise DomainError(f"{what}, |{name}| = {r!r}")
 

@@ -12,7 +12,7 @@ from collections import namedtuple
 
 from .errors import DomainError
 from .hmat import QMat2, psi_embed
-from .quat import BALL_MARGIN, ONE, ZERO, Quaternion, _reject_entries, slice_split
+from .quat import ONE, ZERO, Quaternion, _reject_entries, slice_split
 
 
 _new = object.__new__
@@ -115,10 +115,10 @@ class RootReport(namedtuple("RootReport", "points spheres", defaults=((), ()))):
     __slots__ = ()
 
     def points_in_ball(self) -> list[Quaternion]:
-        return [p for p in self.points if p.norm() < 1.0 - BALL_MARGIN]
+        return [p for p in self.points if p.norm() < 1.0]
 
     def spheres_in_ball(self) -> list[tuple[float, float]]:
-        return [(x, y) for (x, y) in self.spheres if math.hypot(x, y) < 1.0 - BALL_MARGIN]
+        return [(x, y) for (x, y) in self.spheres if math.hypot(x, y) < 1.0]
 
 
 def quadratic_root_in_ball(p: StarPoly) -> RootReport:

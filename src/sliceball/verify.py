@@ -32,7 +32,7 @@ from .lie import (ISO_IDENTITY, IsoGElement, SliceFactorization,
 from .metrics import poincare_g, pullback_residual, slice_g, slice_h, symm_geodesic
 from .mobius import (classical_apply, differential, f_au, f_au_matrix,
                      mobius_M, quotient_point, regular_apply)
-from .quat import BALL_MARGIN, I, J, ONE, ZERO, Quaternion, sgn, slice_split
+from .quat import I, J, ONE, ZERO, Quaternion, sgn, slice_split
 from .starpoly import (StarPoly, linear_map, quadratic_root_in_ball, reg_conj,
                        regularity_residual, symmetrize)
 
@@ -72,6 +72,8 @@ def _worst(values: Iterable[float], op: str) -> float:
 # Samplers (desk scale: points stay clear of the boundary so finite differences
 # and atanh remain well conditioned).  Each draws from a numpy Generator; PCG64
 # is stable across platforms for a fixed seed.
+BALL_MARGIN = 1e-12  # the ball samplers shrink their radius by 1 - 2 BALL_MARGIN
+
 
 def sample_sphere3(rng) -> Quaternion:
     """Uniform point on the unit 3-sphere of quaternions."""
@@ -96,7 +98,7 @@ def sample_imaginary_unit(rng) -> Quaternion:
 
 
 def sample_ball(rng, radius: float = 1.0) -> Quaternion:
-    """Uniform point in the ball of the given radius (kept inside the open-ball margin)."""
+    """Uniform point in the ball of the given radius, shrunk by 1 - 2 BALL_MARGIN."""
     u = sample_sphere3(rng)
     r = radius * (1.0 - 2.0 * BALL_MARGIN) * float(rng.random()) ** 0.25
     return u * r
@@ -628,7 +630,7 @@ def _orbit_grid_oracle(q: Quaternion, t_lo: float = -5.0, t_hi: float = 5.0) -> 
     Re H(t) q has the sign of tau^2 x + tau (1 + |q|^2) + x with tau = tanh t and
     x = Re q. That quadratic is negative at tau = -1, positive at tau = 1, and its
     roots multiply to 1, so the real part changes sign exactly once. Uses only the
-    group action itself, never the closed-form quadratic.
+    group action itself, never the closed form.
     """
     def real_part(t: float) -> float:
         return iso_g_act(IsoGElement(ONE, 1, t, 1), q).w

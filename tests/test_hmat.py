@@ -195,6 +195,21 @@ def test_exp_m_examples():
     assert sp11_check(e)[0]
 
 
+def test_exponentials_say_why_they_overflow():
+    # cosh overflows past acosh(max double) ~ 710.476; the last argument below it is fine
+    with pytest.raises(DomainError, match=r"exp_m needs \|q\| <= acosh\(max double\) = "
+                                          r"710\.47\d+, got 800\.0$"):
+        exp_m(Quaternion(800))
+    for bad in (math.inf, math.nan):  # a NaN block once gave a NaN matrix silently
+        with pytest.raises(DomainError, match=f"got {bad!r}$"):
+            exp_m(Quaternion(0.0, bad))
+    assert math.isfinite(exp_m(Quaternion(710.47)).m11.w)
+    with pytest.raises(DomainError, match="exp_general overflows: max-norm 800.0 gives"):
+        exp_general(off_diag(Quaternion(800)))
+    assert (exp_general(off_diag(J * 300.0)) - exp_m(J * 300.0)).max_norm() <= (
+        1e-12 * math.cosh(300.0))
+
+
 def test_exp_general_matches_closed_form():
     assert (exp_general(off_diag(Quaternion())) - IDENTITY).max_norm() == 0.0
     x = off_diag(J * 0.7)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -254,6 +255,17 @@ def test_records_are_immutable_values():
         IsoGElement(ONE, 1, 0.0, 2)
 
 
+@pytest.mark.parametrize("u, t", [(Quaternion(2.0), 0.0), (ZERO, 0.0),
+                                  (Quaternion(math.nan), 0.0), (ONE, math.inf),
+                                  (ONE, -math.inf), (ONE, math.nan)],
+                         ids=["u=2", "u=0", "u=nan", "t=inf", "t=-inf", "t=nan"])
+def test_an_isometry_needs_a_unit_u_and_a_finite_t(u, t):
+    # each of these once acted: u = 2 sent 0.5 to 2.0, off the ball; t = inf sent
+    # every point to the boundary point 1; t = nan returned a NaN point
+    with pytest.raises(DomainError, match="an isometry needs a (unit quaternion u|finite t)"):
+        IsoGElement(u, 1, t, 1)
+
+
 def test_centralizer_matches_closed_forms():
     rng = np.random.default_rng(52)
     for _ in range(40):
@@ -270,6 +282,52 @@ def test_orbit_invariant_examples():
     assert orbit_invariant(Quaternion(-0.8)) == 0.0
     assert abs(orbit_invariant(I * 0.3) - 0.3) <= 1e-15
     assert abs(orbit_invariant(J * 0.55) - 0.55) <= 1e-15
+
+
+def _mp_orbit_invariant(q: Quaternion) -> mpmath.mpf:
+    """The crossing height by the old route, independent of the closed form: the
+    root tau in (-1, 1) of tau^2 x + tau (1 + x^2 + y0^2) + x = 0 translates q
+    onto the imaginary axis, in 60-digit arithmetic from q's exact coordinates."""
+    with mpmath.workdps(60):
+        x = mpmath.mpf(q.w)
+        y0 = mpmath.sqrt(mpmath.mpf(q.x) ** 2 + mpmath.mpf(q.y) ** 2 + mpmath.mpf(q.z) ** 2)
+        b = 1 + x * x + y0 * y0
+        tau = -2 * x / (b + mpmath.sqrt(b * b - 4 * x * x))
+        return y0 * (1 - tau * tau) / ((1 + tau * x) ** 2 + (tau * y0) ** 2)
+
+
+def test_orbit_invariant_matches_mpmath_up_to_the_boundary():
+    rng = np.random.default_rng(56)
+    points = [Quaternion(0.999999, 1e-7), Quaternion(-0.999999999, 0.0, 3e-12),
+              Quaternion(0.5, 1e-170)]
+    for k in range(400):
+        u = rng.standard_normal(4)
+        if k % 5 == 0:  # near the real axis
+            u[1:] *= 10.0 ** rng.uniform(-12, -3)
+        r = 1.0 - 10.0 ** rng.uniform(-9, 0)
+        points.append(Quaternion(*(u * (r / np.linalg.norm(u))).tolist()))
+    for q in points:
+        want = _mp_orbit_invariant(q)
+        assert float(abs(orbit_invariant(q) - want) / want) <= 1e-14, q
+
+
+def test_orbit_invariant_on_the_whole_open_ball():
+    # past the old 1 - 1e-12 margin; on the imaginary axis y is the height itself
+    y0 = 0.9999999999999
+    assert abs(orbit_invariant(J * y0) - y0) <= 2.0 * math.ulp(y0)
+    # within ulps of the sphere the rounded d can fall below zero; y stays in [0, 1]
+    last = math.nextafter(1.0, 0.0)
+    for q in (Quaternion(last), Quaternion(0.0, 0.0, last), Quaternion(0.6, 0.0, 0.8 * last)):
+        assert 0.0 <= orbit_invariant(q) <= 1.0
+
+
+def test_orbit_invariant_under_long_translations():
+    rng = np.random.default_rng(57)
+    for _ in range(200):
+        q = sample_ball(rng, 0.9)
+        e = IsoGElement(sample_sphere3(rng), 1 if rng.random() < 0.5 else -1,
+                        6.0 * float(rng.random()) - 3.0, 1 if rng.random() < 0.5 else -1)
+        assert abs(orbit_invariant(iso_g_act(e, q)) - orbit_invariant(q)) <= 1e-12
 
 
 def test_orbit_invariant_under_action():

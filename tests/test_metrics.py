@@ -1,16 +1,18 @@
 """Both metrics, the Hermitian form, pullback residuals, geodesics and tables."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from sliceball.errors import DomainError
 from sliceball.hmat import I11, exp_m, hyperbolic
+from sliceball.lie import orbit_invariant
 from sliceball.metrics import (geodesic_table, poincare_g, pullback_residual,
                                slice_g, slice_h, symm_geodesic)
 from sliceball.mobius import classical_apply, mobius_M, regular_apply
-from sliceball.quat import I, J, ONE, Quaternion
+from sliceball.quat import I, J, ONE, Quaternion, slice_split
 from sliceball.verify import sample_ball, sample_sphere3
 
 
@@ -60,6 +62,43 @@ def test_slice_g_in_slice_reduces_to_hyperbolic():
         beta = Quaternion(float(rng.standard_normal())) + unit * float(rng.standard_normal())
         want = (alpha * beta.conj()).w / (1 - q.norm_sq()) ** 2
         assert abs(slice_g(q, alpha, beta) - want) <= 1e-12
+
+
+def _split(v: Quaternion, unit: Quaternion) -> tuple[Quaternion, Quaternion]:
+    """v = v_par + v_perp with v_par in the slice C_I of the imaginary unit I."""
+    par = Quaternion(v.w) + unit * (v * unit.conj()).w
+    return par, v - par
+
+
+def test_slice_g_splits_into_poincare_on_the_slice_and_less_off_it():
+    # slice_g = Re(a_par conj(b_par)) / (1 - |q|^2)^2 + Re(a_perp conj(b_perp)) / |1 - q^2|^2
+    rng = np.random.default_rng(33)
+    for _ in range(200):
+        q = sample_ball(rng, 0.95)
+        _, _, unit = slice_split(q)
+        alpha, beta = (Quaternion(*rng.standard_normal(4).tolist()) for _ in range(2))
+        (a_par, a_perp), (b_par, b_perp) = _split(alpha, unit), _split(beta, unit)
+        d2, n2 = (1.0 - q.norm_sq()) ** 2, (ONE - q * q).norm_sq()
+        want = (a_par * b_par.conj()).w / d2 + (a_perp * b_perp.conj()).w / n2
+        # relative to sqrt(g(alpha, alpha) g(beta, beta)), the scale of a bilinear form
+        scale = math.sqrt((a_par.norm_sq() / d2 + a_perp.norm_sq() / n2)
+                          * (b_par.norm_sq() / d2 + b_perp.norm_sq() / n2))
+        assert abs(slice_g(q, alpha, beta) - want) <= 1e-13 * scale
+
+
+def test_rho_of_the_orbit_invariant_is_the_off_slice_factor():
+    # rho(y) = ((1 - y^2)/(1 + y^2))^2 = (1 - |q|^2)^2 / |1 - q^2|^2, so g_S <= g_P,
+    # with equality along each slice
+    rng = np.random.default_rng(34)
+    for k in range(300):
+        u = rng.standard_normal(4)
+        r = 0.5 if k == 0 else 1.0 - 10.0 ** rng.uniform(-6, 0)
+        q = Quaternion(*(u * (r / np.linalg.norm(u))).tolist())
+        y = orbit_invariant(q)
+        d = 1.0 - q.norm_sq()
+        rho = ((1.0 - y * y) / (1.0 + y * y)) ** 2
+        assert abs(rho - d * d / (ONE - q * q).norm_sq()) <= 1e-14 / d
+        assert rho <= 1.0
 
 
 def test_pullback_identity_map():
@@ -185,7 +224,9 @@ def test_geodesic_table_rejects_a_non_finite_range(t_min, t_max):
 @pytest.mark.parametrize("u", [ONE * 2.0, ONE * (1.0 + 1e-8), ONE * 0.5, Quaternion()])
 @pytest.mark.parametrize("a", [None, Quaternion(0.3)])
 def test_table_rejects_a_non_unit_direction(u, a):
-    with pytest.raises(DomainError):
+    # the `table --u` error text of the CLI
+    text = f"orbit direction must be a unit quaternion, |u| = {u.norm()!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
         geodesic_table(u, 2.0, 3.0, 2, a=a)
 
 

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from sliceball.errors import DomainError
-from sliceball.quat import (BALL_MARGIN, I, J, K, ONE, ZERO, Quaternion, ensure_in_ball, sgn,
+from sliceball.quat import (I, J, K, ONE, ZERO, Quaternion, ensure_in_ball, ensure_unit, sgn,
                             slice_split)
-from sliceball.verify import (sample_ball, sample_imaginary_unit, sample_real_interval,
-                              sample_sphere3)
+from sliceball.verify import (BALL_MARGIN, sample_ball, sample_imaginary_unit,
+                              sample_real_interval, sample_sphere3)
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 quats = st.builds(Quaternion, finite, finite, finite, finite)
@@ -116,9 +116,9 @@ def test_unary_operators_bit_for_bit(q):
             q.inverse()
     else:
         assert _qbits(q.inverse()) == _bits(q.w / n2, -q.x / n2, -q.y / n2, -q.z / n2)
-    if not math.sqrt(n2) < 0.5:
+    if not math.sqrt(n2) < 1.0:
         with pytest.raises(DomainError, match=re.escape(f"|q| = {math.sqrt(n2)!r}")):
-            ensure_in_ball(q, "test", 0.5)
+            ensure_in_ball(q, "test")
 
 
 @given(quats, quats)
@@ -219,5 +219,17 @@ def test_ensure_in_ball_rejects_the_boundary_and_nan():
         ensure_in_ball(J, "maps need the ball", name="a")
     with pytest.raises(DomainError, match="nan"):
         ensure_in_ball(Quaternion(math.nan), "maps need the ball")
-    with pytest.raises(DomainError):
-        ensure_in_ball(Quaternion(0.5), "inside a smaller ball", bound=0.5)
+    # the whole open ball is accepted, up to the last double below 1
+    ensure_in_ball(Quaternion(0.0, 0.0, math.nextafter(1.0, 0.0)), "unused")
+
+
+def test_ensure_unit_rejects_non_units_nan_and_infinity():
+    ensure_unit(I, "unused")
+    ensure_unit(Quaternion(1.0 + 1e-10), "unused")
+    with pytest.raises(DomainError, match=r"^needs a unit, \|u\| = 2\.0$"):
+        ensure_unit(Quaternion(2.0), "needs a unit")
+    with pytest.raises(DomainError, match=r"^needs a unit, \|w\| = 0\.0$"):
+        ensure_unit(ZERO, "needs a unit", name="w")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ensure_unit(Quaternion(0.0, bad), "needs a unit")
