@@ -144,9 +144,9 @@ def centralizer_check(a: QMat2, subgroup: str) -> tuple[bool, float]:
 # for q = x + y0*I and d = 1 - |q|^2, y = 2 y0 / (|1 - q^2| + d).
 
 def orbit_invariant(q: Quaternion) -> float:
-    """The root in [0, 1) of y0 y^2 + d y - y0, as |1 - q^2|^2 = d^2 + 4 y0^2. d is
-    formed from (1 - x)(1 + x) to keep its relative accuracy near the real axis,
-    where y ~ y0/d; rounded below 0 next to the sphere, it counts as 0 (y = 1)."""
+    """The root in [0, 1] of y0 y^2 + d y - y0, as |1 - q^2|^2 = d^2 + 4 y0^2, with d formed
+    from (1 - x)(1 + x) for relative accuracy near the real axis, where y ~ y0/d. It is
+    1.0 only where the rounded d is not positive, within a few ulps of the sphere."""
     ensure_in_ball(q, "orbit invariant needs an interior point")
     x, y0, _ = slice_split(q)  # rescaled: a tiny imaginary part does not underflow
     d = max(0.0, (1.0 - x) * (1.0 + x) - y0 * y0)

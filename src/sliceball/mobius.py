@@ -59,6 +59,7 @@ def mobius_M(a: Quaternion) -> QMat2:
 
 def f_au(a: float, u: Quaternion, q: Quaternion) -> Quaternion:
     """(1 - qa)^-1 (q - a) u for real a: the maps that are classical and regular at once."""
+    a = float(a)
     ensure_in_ball(Quaternion(a), "f_au needs a real parameter in the open ball", name="a")
     return (ONE - q * a).inverse() * (q - a) * u
 
@@ -87,10 +88,13 @@ def differential(fn: Callable[[Quaternion], Quaternion], q: Quaternion,
         raise DomainError(f"finite-difference step {h!r} underflows at {q!r}")
     jac = np.empty((4, 4))
     for col in range(4):
-        plus, minus = list(coords), list(coords)
+        plus = list(coords)
+        minus = list(coords)
         plus[col] += h
         minus[col] -= h
-        d = (fn(Quaternion(*plus)) - fn(Quaternion(*minus))) / (2.0 * h)
+        fp = fn(Quaternion(*plus))
+        fm = fn(Quaternion(*minus))
+        d = (fp - fm) / (2.0 * h)
         jac[:, col] = (d.w, d.x, d.y, d.z)
     return jac
 

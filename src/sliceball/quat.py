@@ -210,9 +210,9 @@ def ensure_in_ball(q: Quaternion, what: str, name: str = "q") -> None:
         raise DomainError(f"{what}, |{name}| = {r!r}")
 
 
-def ensure_unit(u: Quaternion, what: str, name: str = "u") -> None:
-    """Raise DomainError as ensure_in_ball does unless | |u| - 1 | <= UNIT_TOL."""
+def ensure_unit(u: Quaternion, what: str) -> None:
+    """Raise DomainError("<what>, |u| = <norm>") unless | |u| - 1 | <= UNIT_TOL."""
     r = u.norm()
     if not abs(r - 1.0) <= UNIT_TOL:
-        raise DomainError(f"{what}, |{name}| = {r!r}")
+        raise DomainError(f"{what}, |u| = {r!r}")
 

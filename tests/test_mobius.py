@@ -3,6 +3,7 @@ and the real-coset classification."""
 
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -97,6 +98,9 @@ def test_f_au_examples():
     assert f_au(0.5, u, Quaternion(0.5)).norm() <= 1e-16
     got = f_au(0.5, ONE, Quaternion(0.25))
     assert abs(got.w - (-0.25 / 0.875)) <= 1e-15
+    # a real parameter of another numeric type is read as a float
+    for a in (np.float32(0.5), np.int64(0), Fraction(1, 2)):
+        assert f_au(a, u, q) == f_au(float(a), u, q)
     with pytest.raises(DomainError):
         f_au(1.5, u, q)
 

@@ -228,8 +228,8 @@ def test_ensure_unit_rejects_non_units_nan_and_infinity():
     ensure_unit(Quaternion(1.0 + 1e-10), "unused")
     with pytest.raises(DomainError, match=r"^needs a unit, \|u\| = 2\.0$"):
         ensure_unit(Quaternion(2.0), "needs a unit")
-    with pytest.raises(DomainError, match=r"^needs a unit, \|w\| = 0\.0$"):
-        ensure_unit(ZERO, "needs a unit", name="w")
+    with pytest.raises(DomainError, match=r"^needs a unit, \|u\| = 0\.0$"):
+        ensure_unit(ZERO, "needs a unit")
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError):
             ensure_unit(Quaternion(0.0, bad), "needs a unit")
