@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -183,10 +184,11 @@ def cmd_verify(args) -> int:
     results = verify.run_checks(args.suite, seed=args.seed, trials=args.trials,
                                 tol_overrides=tols)
     wall = time.perf_counter() - start
-    if args.format == "json":
-        print(json.dumps([{"name": r.name, "suite": r.suite, "value": r.value,
+    if args.format == "json":  # JSON has no infinity: a failing check reads null
+        print(json.dumps([{"name": r.name, "suite": r.suite,
+                           "value": r.value if math.isfinite(r.value) else None,
                            "tol": r.tol, "op": r.op, "trials": r.trials,
-                           "pass": r.passed} for r in results], sort_keys=True))
+                           "pass": r.passed} for r in results], sort_keys=True, allow_nan=False))
     elif args.format == "csv":
         print("name,suite,value,tol,op,trials,pass")
         for r in results:

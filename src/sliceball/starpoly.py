@@ -1,6 +1,5 @@
 """Slice regular polynomial calculus: the star product, regular conjugate,
-symmetrization, a bounded-degree root finder, and a numerical slice-regularity
-residual.
+symmetrization and a bounded-degree root finder.
 
 A polynomial is stored by its right coefficients: f(q) = sum_n q^n a_n.
 """
@@ -12,7 +11,7 @@ from collections import namedtuple
 
 from .errors import DomainError
 from .hmat import QMat2, psi_embed
-from .quat import ONE, ZERO, Quaternion, _reject_entries, slice_split
+from .quat import ONE, ZERO, Quaternion, _reject_entries
 
 
 _new = object.__new__
@@ -166,24 +165,3 @@ def quadratic_root_in_ball(p: StarPoly) -> RootReport:
         else:
             clusters.append([z])
     return RootReport(points=tuple(sum(cluster, ZERO) / len(cluster) for cluster in clusters))
-
-
-# ---------------------------------------------------------------------------
-# Numerical slice-regularity residual.
-
-def regularity_residual(f, q: Quaternion, h: float = 1e-5) -> float:
-    """|(d/dx + I d/dy) f / 2| at q, by central differences along q's slice.
-
-    f is any callable on quaternions.  A real q uses the canonical slice i.
-    The residual of a slice regular map decays as O(h^2).
-    """
-    x, y, i_unit = slice_split(q)
-    if h <= 0.0 or x + h == x or y + h == y:
-        raise DomainError(f"finite-difference step {h!r} underflows at {q!r}")
-
-    def at(xx: float, yy: float) -> Quaternion:
-        return f(Quaternion(xx) + i_unit * yy)
-
-    fx = (at(x + h, y) - at(x - h, y)) / (2.0 * h)
-    fy = (at(x, y + h) - at(x, y - h)) / (2.0 * h)
-    return ((fx + i_unit * fy) * 0.5).norm()

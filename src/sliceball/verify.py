@@ -21,7 +21,7 @@ import numpy as np
 import numpy.random  # noqa: F401  numpy loads it lazily; loaded here, forked workers share it
 
 from . import SUITES, hmat
-from .errors import ConsistencyError
+from .errors import ConsistencyError, DomainError
 from .hmat import (I11, IDENTITY, QMat2, Sp11Algebra, diag, exp_general, exp_m,
                    hyperbolic, i_eps, lie_bracket, off_diag, psi_embed, scalar,
                    sp11_inverse, sp11_residual)
@@ -33,8 +33,7 @@ from .metrics import poincare_g, pullback_residual, slice_g, slice_h, symm_geode
 from .mobius import (classical_apply, differential, f_au, f_au_matrix,
                      mobius_M, quotient_point, regular_apply)
 from .quat import I, J, ONE, ZERO, Quaternion, sgn, slice_split
-from .starpoly import (StarPoly, linear_map, quadratic_root_in_ball, reg_conj,
-                       regularity_residual, symmetrize)
+from .starpoly import StarPoly, linear_map, quadratic_root_in_ball, reg_conj, symmetrize
 
 
 class CheckResult(namedtuple("CheckResult", "name suite value tol op passed trials seconds error",
@@ -70,8 +69,8 @@ def _worst(values: Iterable[float], op: str) -> float:
 
 # ---------------------------------------------------------------------------
 # Samplers (desk scale: points stay clear of the boundary so finite differences
-# and atanh remain well conditioned).  Each draws from a numpy Generator; PCG64
-# is stable across platforms for a fixed seed.
+# remain well conditioned).  Each draws from a numpy Generator; PCG64 is stable
+# across platforms for a fixed seed.
 BALL_MARGIN = 1e-12  # the ball samplers shrink their radius by 1 - 2 BALL_MARGIN
 
 
@@ -363,10 +362,28 @@ def check_root_finder_newton(rng, trials: int) -> Residuals:
             yield (_newton_zero(p, r + sample_sphere3(rng) * 1e-3) - r).norm()
 
 
+def _regularity_residual(f, q: Quaternion, h: float = 1e-5) -> float:
+    """|(d/dx + I d/dy) f / 2| at q, by central differences along q's slice.
+
+    f is any callable on quaternions.  A real q uses the canonical slice i.
+    The residual of a slice regular map decays as O(h^2).
+    """
+    x, y, i_unit = slice_split(q)
+    if h <= 0.0 or x + h == x or y + h == y:
+        raise DomainError(f"finite-difference step {h!r} underflows at {q!r}")
+
+    def at(xx: float, yy: float) -> Quaternion:
+        return f(Quaternion(xx) + i_unit * yy)
+
+    fx = (at(x + h, y) - at(x - h, y)) / (2.0 * h)
+    fy = (at(x, y + h) - at(x, y - h)) / (2.0 * h)
+    return ((fx + i_unit * fy) * 0.5).norm()
+
+
 def check_regularity_polynomial(rng, trials: int) -> Residuals:
     for _ in range(trials):
         f = _rand_poly(rng, 5)
-        yield regularity_residual(f.eval, sample_ball(rng, 0.7), h=1e-4)
+        yield _regularity_residual(f.eval, sample_ball(rng, 0.7), h=1e-4)
 
 
 def check_mobius_antihom(rng, trials: int) -> Residuals:
@@ -402,7 +419,7 @@ def check_noncoincidence_nonreal(rng, trials: int) -> Residuals:
             a = sample_ball(rng, 0.8)
         mat = mobius_M(a)
         fn = lambda p: classical_apply(mat, p)
-        yield _worst((regularity_residual(fn, sample_ball(rng, 0.7), h=1e-5)
+        yield _worst((_regularity_residual(fn, sample_ball(rng, 0.7), h=1e-5)
                       for _ in range(50)), "<=")
 
 
@@ -486,17 +503,16 @@ def check_regular_map_zero(rng, trials: int) -> Residuals:
 
 
 def check_regular_pullback(rng, trials: int) -> Residuals:
+    # The slice metric at q is the Euclidean form pulled back through M_q, which sends q to 0.
     for _ in range(trials):
         q = sample_ball(rng, 0.7)
         mat = mobius_M(q)
-        fn = lambda p: regular_apply(mat, p)
-        jac = differential(fn, q)
-        for _ in range(6):
+        jac = differential(lambda p: regular_apply(mat, p), q)
+        for _ in range(10):
             av, bv = rng.standard_normal(4), rng.standard_normal(4)
             alpha, beta = Quaternion(*av.tolist()), Quaternion(*bv.tolist())
             da, db = Quaternion(*(jac @ av).tolist()), Quaternion(*(jac @ bv).tolist())
             yield abs(slice_g(q, alpha, beta) - (da * db.conj()).w)
-        yield pullback_residual(fn, slice_g, q, rng, trials=4)
 
 
 def check_slice_positive_definite(rng, trials: int) -> Residuals:

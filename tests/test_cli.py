@@ -232,6 +232,24 @@ def test_verify_reports_a_check_that_raised(capsys, monkeypatch):
     assert "error" not in out
 
 
+def test_verify_json_writes_a_failing_infinity_as_null(capsys, monkeypatch):
+    # a check that raised fails at infinity, which strict JSON has no word for
+    nan = Quaternion(math.nan, math.nan, math.nan, math.nan)
+    monkeypatch.setattr(verify, "iso_g_act", lambda *args, **kwargs: nan)
+    argv = ["verify", "--suite", "orbits", "--trials", "10"]
+    code, out, _ = run_cli(capsys, monkeypatch, argv + ["--format", "json"])
+    assert code == 1
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    rows = {r["name"]: r for r in json.loads(out, parse_constant=reject)}
+    assert rows["orbit-grid-oracle"]["value"] is None and rows["orbit-grid-oracle"]["pass"] is False
+    assert rows["orbit-real-axis"]["value"] == 0.0 and rows["orbit-real-axis"]["pass"] is True
+    _, out, _ = run_cli(capsys, monkeypatch, argv + ["--format", "csv"])
+    assert "orbit-grid-oracle,orbits,inf,9.9999999999999995e-07,<=,10,False" in out.splitlines()
+
+
 def test_verify_csv_format(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, monkeypatch,
                            ["verify", "--suite", "orbits", "--trials", "5",

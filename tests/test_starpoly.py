@@ -1,4 +1,4 @@
-"""Star-product calculus, root finding, and the regularity residual."""
+"""Star-product calculus and root finding."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 from test_quat import _qbits, anyquat
 from sliceball.errors import DomainError, PoleError
 from sliceball.quat import I, J, K, ONE, ZERO, Quaternion
-from sliceball.starpoly import (StarPoly, quadratic_root_in_ball, reg_conj,
-                                regularity_residual, symmetrize)
+from sliceball.starpoly import StarPoly, quadratic_root_in_ball, reg_conj, symmetrize
 from sliceball.verify import sample_ball, sample_imaginary_unit
 
 coeff = st.builds(Quaternion,
@@ -240,35 +239,3 @@ def test_root_finder_rejects_bad_degree():
         quadratic_root_in_ball(StarPoly([Quaternion(2.0)]))
     with pytest.raises(DomainError):
         quadratic_root_in_ball(StarPoly([ONE, ONE, ONE, ONE]))
-
-
-def test_regularity_residual_polynomial():
-    f = StarPoly([Quaternion(0.3, 1, 0, 0), Quaternion(), ONE])
-    q = Quaternion(0.2, 0.3, -0.1, 0.4) * 0.5
-    assert regularity_residual(f.eval, q, h=1e-4) <= 1e-7
-    # a real point is differentiated along the canonical slice
-    assert regularity_residual(f.eval, Quaternion(0.4), h=1e-4) <= 1e-7
-
-
-def test_regularity_residual_conjugation_defect():
-    # conj has residual |(1 + I(-I))/2| = 1 on every slice
-    q = Quaternion(0.2, 0.3, 0, 0)
-    res = regularity_residual(lambda p: p.conj(), q, h=1e-5)
-    assert abs(res - 1.0) <= 1e-8
-
-
-def test_regularity_residual_rate():
-    f = StarPoly([Quaternion(0.1, 0.2, -0.3, 0.4), I, ONE, J])
-    q = Quaternion(0.1, 0.2, 0.3, -0.1)
-    r1 = regularity_residual(f.eval, q, h=2e-3)
-    r2 = regularity_residual(f.eval, q, h=1e-3)
-    assert r1 <= 1e-4
-    assert 2.5 <= r1 / r2 <= 5.5  # second-order decay
-
-
-def test_regularity_residual_step_underflow():
-    f = StarPoly([Quaternion(), ONE])
-    with pytest.raises(DomainError):
-        regularity_residual(f.eval, Quaternion(0.5), h=0.0)
-    with pytest.raises(DomainError):
-        regularity_residual(f.eval, Quaternion(0.5), h=1e-30)

@@ -6,9 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from sliceball import hmat, lie, mobius, verify
+from sliceball import hmat, lie, metrics, mobius, verify
 from sliceball.errors import ConsistencyError, DomainError, PoleError
-from sliceball.quat import J, ZERO, Quaternion
+from sliceball.quat import I, J, ONE, ZERO, Quaternion
+from sliceball.starpoly import StarPoly
 
 
 def test_registry_names_unique():
@@ -142,6 +143,55 @@ def test_orbit_grid_oracle_needs_a_bracketed_crossing():
         verify._orbit_grid_oracle(Quaternion(0.9999999, 1e-9))
 
 
+def test_regular_pullback_takes_one_jacobian_per_point(monkeypatch):
+    calls = []
+
+    def counted(fn, q, *args, **kwargs):
+        calls.append(q)
+        return mobius.differential(fn, q, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "differential", counted)
+    monkeypatch.setattr(metrics, "differential", counted)
+    index = verify.CHECK_NAMES.index("regular-pullback")
+    assert verify.run_check(verify.CHECKS[index], 1, index, trials=7).passed
+    assert len(calls) == 7
+
+
+# The finite-difference regularity residual behind regularity-polynomial and
+# noncoincidence-nonreal.
+
+def test_regularity_residual_polynomial():
+    f = StarPoly([Quaternion(0.3, 1, 0, 0), Quaternion(), ONE])
+    q = Quaternion(0.2, 0.3, -0.1, 0.4) * 0.5
+    assert verify._regularity_residual(f.eval, q, h=1e-4) <= 1e-7
+    # a real point is differentiated along the canonical slice
+    assert verify._regularity_residual(f.eval, Quaternion(0.4), h=1e-4) <= 1e-7
+
+
+def test_regularity_residual_conjugation_defect():
+    # conj has residual |(1 + I(-I))/2| = 1 on every slice
+    q = Quaternion(0.2, 0.3, 0, 0)
+    res = verify._regularity_residual(lambda p: p.conj(), q, h=1e-5)
+    assert abs(res - 1.0) <= 1e-8
+
+
+def test_regularity_residual_rate():
+    f = StarPoly([Quaternion(0.1, 0.2, -0.3, 0.4), I, ONE, J])
+    q = Quaternion(0.1, 0.2, 0.3, -0.1)
+    r1 = verify._regularity_residual(f.eval, q, h=2e-3)
+    r2 = verify._regularity_residual(f.eval, q, h=1e-3)
+    assert r1 <= 1e-4
+    assert 2.5 <= r1 / r2 <= 5.5  # second-order decay
+
+
+def test_regularity_residual_step_underflow():
+    f = StarPoly([Quaternion(), ONE])
+    with pytest.raises(DomainError):
+        verify._regularity_residual(f.eval, Quaternion(0.5), h=0.0)
+    with pytest.raises(DomainError):
+        verify._regularity_residual(f.eval, Quaternion(0.5), h=1e-30)
+
+
 # NaN injections: a NaN anywhere in a check's residuals must fail it, never be
 # dropped by the reduction.
 
@@ -157,7 +207,7 @@ _NAN_QUAT = Quaternion(math.nan, math.nan, math.nan, math.nan)
     ("slice_g", math.nan,
      ["slice-positive-definite", "slice-conjugation-invariance", "iso-isometry",
       "slice-hyperbolicity", "regular-pullback"]),
-    ("regularity_residual", math.nan, ["noncoincidence-nonreal"]),
+    ("_regularity_residual", math.nan, ["regularity-polynomial", "noncoincidence-nonreal"]),
     ("classical_apply", _NAN_QUAT,
      ["quotient-consistency", "mobius-antihom", "mobius-inverse-map", "coincidence-real",
       "noncoincidence-nonreal", "poincare-invariance", "geodesic-reversal"]),

@@ -15,17 +15,24 @@ src/sliceball. Both run the same cases, each in a fresh process:
 
 A case differs when its stdout, exit code or stderr differs; verify's
 ``wall time:`` line is left out of stderr. One JSON line is printed per
-differing case, then a last line ``{"cases": N, "differ": K}``. The exit code
-is 1 when K > 0. Takes no options; the oneshot commands need numpy.
+differing case, then, from the json verify reports, one line per check with
+each tree's least headroom over the seeds and CHANGE minus PARENT. Headroom is
+``log10(tol/value)`` for ``<=`` and ``log10(value/tol)`` for ``>=`` decades;
+null at a value or tolerance of 0; -Infinity at a null (failing) or NaN value.
+Next come a count of the checks whose headroom fell by more than FELL_DECADES
+and a last line ``{"cases": N, "differ": K}``. The exit code is 1 when K > 0.
+Takes no options; the oneshot commands need numpy.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +41,7 @@ FORMATS = ("json", "csv", "human")
 TIMEOUT_S = 300
 WORKERS = 2
 SHOWN = 300  # characters of each differing field printed
+FELL_DECADES = 0.3
 
 _IDENTITY = [[[1, 0, 0, 0], [0, 0, 0, 0]], [[0, 0, 0, 0], [1, 0, 0, 0]]]
 _HUGE = int("1" + "0" * 400)  # beyond the double range
@@ -96,19 +104,64 @@ def run(tree: Path, argv: list[str], stdin: str) -> dict:
     return {"stdout": proc.stdout, "code": proc.returncode, "stderr": stderr}
 
 
-def compare(parent: Path, change: Path, cases) -> list[dict]:
-    """One record per case whose stdout, exit code or stderr differs."""
-    def one(case):
-        argv, stdin = case
-        a, b = run(parent, argv, stdin), run(change, argv, stdin)
-        fields = [k for k in a if a[k] != b[k]]
-        if not fields:
-            return None
-        return {"argv": [v[:SHOWN] for v in argv], "stdin": stdin[:SHOWN],
-                "parent": {k: a[k] if k == "code" else a[k][:SHOWN] for k in fields},
-                "change": {k: b[k] if k == "code" else b[k][:SHOWN] for k in fields}}
+def _report(tree: Path, argv: list[str], out: dict) -> list[dict]:
+    """The JSON report of one verify run; a failing check still reports."""
+    if out["code"] in (0, 1):
+        with suppress(json.JSONDecodeError):
+            return json.loads(out["stdout"])
+    raise RuntimeError(f"{' '.join(argv)} in {tree} exited {out['code']}: "
+                       f"{out['stderr'].strip()}")
+
+
+def compare(parent: Path, change: Path, cases) -> tuple[list[dict], tuple[list, list]]:
+    """One record per case whose stdout, exit code or stderr differs, and each
+    tree's reports of the json verify cases, in case order."""
     with ThreadPoolExecutor(WORKERS) as pool:
-        return [d for d in pool.map(one, cases) if d is not None]
+        outs = list(pool.map(lambda c: (run(parent, *c), run(change, *c)), cases))
+    differ, reports = [], ([], [])
+    for (argv, stdin), (a, b) in zip(cases, outs):
+        if argv[0] == "verify" and argv[-2:] == ["--format", "json"]:
+            for side, tree, out in zip(reports, (parent, change), (a, b)):
+                side.append(_report(tree, argv, out))
+        fields = [k for k in a if a[k] != b[k]]
+        if fields:
+            differ.append({"argv": [v[:SHOWN] for v in argv], "stdin": stdin[:SHOWN],
+                           "parent": {k: a[k] if k == "code" else a[k][:SHOWN] for k in fields},
+                           "change": {k: b[k] if k == "code" else b[k][:SHOWN] for k in fields}})
+    return differ, reports
+
+
+def headroom(value: float | None, tol: float, op: str) -> float | None:
+    """Decades between a check's value and its tolerance; positive inside it."""
+    if value == 0 or tol == 0:
+        return None
+    if value is None or math.isnan(value):
+        return -math.inf
+    ratio = tol / value if op == "<=" else value / tol
+    return math.log10(ratio) if ratio > 0 else -math.inf
+
+
+def min_headrooms(reports: list[list[dict]]) -> dict[str, float | None]:
+    """Each check's smallest non-null headroom over the reports, in registry order."""
+    runs: dict[str, list] = {}
+    for report in reports:
+        for r in report:
+            runs.setdefault(r["name"], []).append(headroom(r["value"], r["tol"], r["op"]))
+    return {name: min((h for h in hs if h is not None), default=None)
+            for name, hs in runs.items()}
+
+
+def headroom_rows(parent: dict, change: dict) -> list[dict]:
+    if list(parent) != list(change):
+        raise RuntimeError("the two trees register different checks")
+    return [{"check": n, "parent": parent[n], "change": change[n],
+             "delta": None if parent[n] is None or change[n] is None else change[n] - parent[n]}
+            for n in parent]
+
+
+def totals(rows: list[dict]) -> dict:
+    fell = [r["check"] for r in rows if r["delta"] is not None and r["delta"] < -FELL_DECADES]
+    return {"checks": len(rows), "fell": len(fell), "fell_checks": fell}
 
 
 def main(argv=None) -> int:
@@ -118,9 +171,13 @@ def main(argv=None) -> int:
         return 2
     parent, change = (Path(a).resolve() for a in args)
     cases = verify_cases() + oneshot_cases() + malformed_cases()
-    differ = compare(parent, change, cases)
+    differ, reports = compare(parent, change, cases)
     for d in differ:
         print(json.dumps(d, sort_keys=True))
+    rows = headroom_rows(*(min_headrooms(r) for r in reports))
+    for row in rows:
+        print(json.dumps(row))
+    print(json.dumps(totals(rows)))
     print(json.dumps({"cases": len(cases), "differ": len(differ)}))
     return 1 if differ else 0
 
