@@ -167,22 +167,10 @@ def cmd_decompose(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _parse_tols(pairs: list[str]) -> dict[str, float]:
-    out = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ValueError(f"--tol expects name=value, got {pair!r}")
-        name, value = pair.split("=", 1)
-        out[name] = float(value)
-    return out
-
-
 def cmd_verify(args) -> int:
     from . import verify  # numpy loads only for the suite
-    tols = _parse_tols(args.tol)
     start = time.perf_counter()
-    results = verify.run_checks(args.suite, seed=args.seed, trials=args.trials,
-                                tol_overrides=tols)
+    results = verify.run_checks(args.suite, seed=args.seed, trials=args.trials)
     wall = time.perf_counter() - start
     if args.format == "json":  # JSON has no infinity: a failing check reads null
         print(json.dumps([{"name": r.name, "suite": r.suite,
@@ -259,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=1)
     p_ver.add_argument("--trials", type=int, default=None,
                        help="override the per-check sample count")
-    p_ver.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
-                       help="override a check tolerance (repeatable)")
     p_ver.add_argument("--format", choices=["json", "csv", "human"], default="human")
     p_ver.set_defaults(run=cmd_verify)
 

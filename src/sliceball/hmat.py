@@ -246,7 +246,7 @@ class Sp11Algebra:
         self.p = p
         self.q = q
         self.a = a
-        if abs(self.p.w) > ALGEBRA_TOL or abs(self.q.w) > ALGEBRA_TOL:
+        if not (abs(self.p.w) <= ALGEBRA_TOL and abs(self.q.w) <= ALGEBRA_TOL):  # NaN fails
             raise DomainError("diagonal parts of an algebra element must be imaginary")
 
     def __repr__(self) -> str:

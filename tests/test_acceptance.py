@@ -7,9 +7,11 @@ from sliceball import verify
 SEED = 1
 
 
-def run_named(criterion: str, name: str, trials=None, tol=None):
+def run_named(criterion: str, name: str, *, tol: float, trials=None):
     index = verify.CHECK_NAMES.index(name)
-    result = verify.run_check(verify.CHECKS[index], SEED, index, trials=trials, tol=tol)
+    result = verify.run_check(verify.CHECKS[index], SEED, index, trials=trials)
+    # the registry sets every tolerance; it must hold the criterion's bound
+    assert result.tol == tol, f"{name} is registered at tol {result.tol!r}, not {tol!r}"
     status = "PASS" if result.passed else "FAIL"
     print(f"{status} {criterion}: {name} value={result.value:.3e} {result.op} "
           f"tol={result.tol:.0e} trials={result.trials}")

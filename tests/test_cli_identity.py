@@ -1,7 +1,9 @@
 """The byte-identity harness: a tree against itself and against a copy whose
-reports print one digit fewer, and the headroom it reads from verify's reports."""
+reports print one digit fewer, and the headroom it reads from verify's reports,
+also on hand-made reports."""
 
 import importlib.util
+import math
 import shutil
 from pathlib import Path
 
@@ -28,6 +30,13 @@ def test_a_tree_keeps_its_headroom():
     assert cli_identity.totals(rows) == {"checks": 4, "fell": 0, "fell_checks": []}
 
 
+def test_a_short_run_stays_out_of_the_ledger():
+    # headroom over 3 trials is not comparable with the registered trial counts
+    argv = ["verify", "--suite", "orbits", "--trials", "3", "--seed", "1", "--format", "json"]
+    assert cli_identity.compare(ROOT, ROOT, [(argv, "")]) == ([], ([], []))
+    assert (argv, "") in cli_identity.verify_cases()
+
+
 def test_a_changed_digit_count_differs(tmp_path):
     shutil.copytree(ROOT / "src" / "sliceball", tmp_path / "src" / "sliceball",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -38,3 +47,30 @@ def test_a_changed_digit_count_differs(tmp_path):
     differ, reports = cli_identity.compare(ROOT, tmp_path, CASES)
     assert reports == ([], [])
     assert [(d["argv"], list(d["change"])) for d in differ] == [(CASES[0][0], ["stdout"])]
+
+
+def test_headroom_in_decades():
+    assert math.isclose(cli_identity.headroom(1e-15, 1e-12, "<="), 3.0)
+    assert math.isclose(cli_identity.headroom(0.5, 0.05, ">="), 1.0)
+    assert math.isclose(cli_identity.headroom(2e-12, 1e-12, "<="), -math.log10(2.0))
+    assert cli_identity.headroom(0.0, 1e-12, "<=") is None
+    assert cli_identity.headroom(1e-15, 0.0, "<=") is None
+    assert cli_identity.headroom(math.nan, 1e-12, "<=") == -math.inf
+    assert cli_identity.headroom(math.inf, 1e-12, "<=") == -math.inf
+    assert cli_identity.headroom(-math.inf, 0.5, ">=") == -math.inf
+    assert cli_identity.headroom(None, 1e-12, "<=") == -math.inf  # a failing check's null
+    assert cli_identity.headroom(None, 0.5, ">=") == -math.inf
+
+
+def test_minimum_over_seeds_and_the_totals():
+    def report(a, b):
+        return [{"name": "a", "value": a, "tol": 1e-12, "op": "<="},
+                {"name": "b", "value": b, "tol": 1e-12, "op": "<="}]
+    parent = cli_identity.min_headrooms([report(1e-15, 0.0), report(1e-14, 0.0)])
+    assert math.isclose(parent["a"], 2.0) and parent["b"] is None
+    change = cli_identity.min_headrooms([report(1e-13, 0.0), report(0.0, 1e-16)])
+    assert math.isclose(change["a"], 1.0) and math.isclose(change["b"], 4.0)
+    rows = cli_identity.headroom_rows(parent, change)
+    assert [r["check"] for r in rows] == ["a", "b"]
+    assert math.isclose(rows[0]["delta"], -1.0) and rows[1]["delta"] is None
+    assert cli_identity.totals(rows) == {"checks": 2, "fell": 1, "fell_checks": ["a"]}

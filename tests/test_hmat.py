@@ -170,6 +170,9 @@ def test_algebra_membership():
     assert not algebra_check(diag(ONE, ZERO))[0]
     with pytest.raises(DomainError):
         Sp11Algebra(ONE, I, ONE)  # real diagonal part is not allowed
+    for p, q in ((Quaternion(math.nan, 1.0), J), (I, Quaternion(math.nan, 1.0))):
+        with pytest.raises(DomainError):  # a NaN real part once passed `> ALGEBRA_TOL`
+            Sp11Algebra(p, q, Quaternion(0.1))
 
 
 def test_bracket_examples():

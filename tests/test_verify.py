@@ -9,7 +9,7 @@ import pytest
 from sliceball import hmat, lie, metrics, mobius, verify
 from sliceball.errors import ConsistencyError, DomainError, PoleError
 from sliceball.quat import I, J, ONE, ZERO, Quaternion
-from sliceball.starpoly import StarPoly
+from sliceball.starpoly import StarPoly, reg_conj
 
 
 def test_registry_names_unique():
@@ -35,15 +35,6 @@ def test_check_rng_independent_of_suite_selection():
     together = {r.name: r.value for r in verify.run_checks("all", seed=6, trials=5)}
     for name, value in alone.items():
         assert together[name] == value
-
-
-def test_tol_override_applies():
-    results = verify.run_checks("orbits", seed=2, trials=5,
-                                tol_overrides={"orbit-invariance": 0.0})
-    by_name = {r.name: r for r in results}
-    assert not by_name["orbit-invariance"].passed
-    with pytest.raises(ValueError):
-        verify.run_checks("orbits", trials=2, tol_overrides={"nope": 1.0})
 
 
 def test_full_suite_passes_quickly():
@@ -98,6 +89,30 @@ def test_exp_psi_oracle_catches_a_wrong_exponential(monkeypatch):
     monkeypatch.setattr(verify, "exp_general",
                         lambda x: hmat.exp_general(x) + hmat.IDENTITY * 1e-8)
     assert not _run_named("exp-psi-oracle").passed
+
+
+_STAR_CHECKS = ("star-symmetrize-real", "star-conj-antihom", "star-real-commute")
+_STAR = StarPoly.__mul__
+_STAR_DEFECTS = {
+    "conjugated-right-factor": lambda f, g: _STAR(f, reg_conj(g)),
+    "offset-1e-11": lambda f, g: StarPoly([c + Quaternion(0.0, 1e-11)
+                                           for c in _STAR(f, g).coeffs]),
+}
+
+
+@pytest.mark.parametrize("measure", ["relative", "absolute"])
+@pytest.mark.parametrize("defect", list(_STAR_DEFECTS))
+def test_star_checks_catch_a_wrong_star_product(monkeypatch, measure, defect):
+    # the star checks divide each residual by the norms of the terms it sums;
+    # with every scale set to 1 they measure as they once did, in absolute terms,
+    # and both measures must fail the same seeded defects
+    if measure == "absolute":
+        monkeypatch.setattr(verify, "_coeff_scales",
+                            lambda f, g: [1.0] * (len(f.coeffs) + len(g.coeffs) - 1))
+        monkeypatch.setattr(verify, "_abs_eval", lambda f, r: 1.0)
+    assert all(_run_named(name).passed for name in _STAR_CHECKS)
+    monkeypatch.setattr(StarPoly, "__mul__", _STAR_DEFECTS[defect])
+    assert not any(_run_named(name).passed for name in _STAR_CHECKS)
 
 
 def test_regular_star_oracle_catches_a_wrong_regular_map(monkeypatch):

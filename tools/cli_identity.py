@@ -7,6 +7,8 @@ src/sliceball. Both run the same cases, each in a fresh process:
 
 - ``verify --suite all --seed S`` for S = 1..8, in the json, csv and human
   formats;
+- ``verify --suite S --trials 3 --seed 1`` for each named suite S, in the
+  three formats;
 - every command of ``bench/workloads.CliOneshot`` for seeds 1..8, in the three
   formats (the ``table`` commands, which have no format, once per seed);
 - a fixed set of malformed inputs: bad JSON, wrong shapes, strings, bools,
@@ -15,10 +17,11 @@ src/sliceball. Both run the same cases, each in a fresh process:
 
 A case differs when its stdout, exit code or stderr differs; verify's
 ``wall time:`` line is left out of stderr. One JSON line is printed per
-differing case, then, from the json verify reports, one line per check with
-each tree's least headroom over the seeds and CHANGE minus PARENT. Headroom is
-``log10(tol/value)`` for ``<=`` and ``log10(value/tol)`` for ``>=`` decades;
-null at a value or tolerance of 0; -Infinity at a null (failing) or NaN value.
+differing case, then, from the json verify reports at the registered trial
+counts, one line per check with each tree's least headroom over the seeds and
+CHANGE minus PARENT. Headroom is ``log10(tol/value)`` for ``<=`` and
+``log10(value/tol)`` for ``>=`` decades; null at a value or tolerance of 0;
+-Infinity at a null (failing) or NaN value.
 Next come a count of the checks whose headroom fell by more than FELL_DECADES
 and a last line ``{"cases": N, "differ": K}``. The exit code is 1 when K > 0.
 Takes no options; the oneshot commands need numpy.
@@ -37,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(1, 9)
+SUITES = ("decompose", "mobius", "metrics", "isometry", "orbits")  # the named suites
 FORMATS = ("json", "csv", "human")
 TIMEOUT_S = 300
 WORKERS = 2
@@ -56,8 +60,9 @@ def _with_entry(value) -> str:
 
 
 def verify_cases() -> list[tuple[list[str], str]]:
-    return [(["verify", "--suite", "all", "--seed", str(s), "--format", f], "")
-            for s in SEEDS for f in FORMATS]
+    full = [["--suite", "all", "--seed", str(s)] for s in SEEDS]
+    short = [["--suite", suite, "--trials", "3", "--seed", "1"] for suite in SUITES]
+    return [(["verify", *args, "--format", f], "") for args in full + short for f in FORMATS]
 
 
 def oneshot_cases() -> list[tuple[list[str], str]]:
@@ -115,12 +120,13 @@ def _report(tree: Path, argv: list[str], out: dict) -> list[dict]:
 
 def compare(parent: Path, change: Path, cases) -> tuple[list[dict], tuple[list, list]]:
     """One record per case whose stdout, exit code or stderr differs, and each
-    tree's reports of the json verify cases, in case order."""
+    tree's reports of the json verify cases at the registered trial counts, in
+    case order."""
     with ThreadPoolExecutor(WORKERS) as pool:
         outs = list(pool.map(lambda c: (run(parent, *c), run(change, *c)), cases))
     differ, reports = [], ([], [])
     for (argv, stdin), (a, b) in zip(cases, outs):
-        if argv[0] == "verify" and argv[-2:] == ["--format", "json"]:
+        if argv[0] == "verify" and argv[-2:] == ["--format", "json"] and "--trials" not in argv:
             for side, tree, out in zip(reports, (parent, change), (a, b)):
                 side.append(_report(tree, argv, out))
         fields = [k for k in a if a[k] != b[k]]
