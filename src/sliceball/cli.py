@@ -203,9 +203,11 @@ def cmd_verify(args) -> int:
 
 def cmd_table(args) -> int:
     from .metrics import geodesic_table
-    from .quat import Quaternion, ensure_in_ball
+    from .quat import ensure_in_ball
+    if args.a is not None and args.kind != "orbit":
+        raise ValueError(f"--a applies only to --kind orbit, not --kind {args.kind}")
     u = _quat_from_list(_parse_json(args.u))
-    base = _quat_from_list(_parse_json(args.a)) if args.kind == "orbit" else Quaternion()
+    base = None if args.a is None else _quat_from_list(_parse_json(args.a))
     rows = geodesic_table(u, args.t_min, args.t_max, args.steps, a=base)
     for _, p in rows:  # far out along the orbit a point can round onto the boundary
         ensure_in_ball(p, "a table point is not in the open ball", name="p")
@@ -256,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "one-parameter orbit through --a, which is not a geodesic "
                             "unless a lies on the line tanh(s) u")
     p_tab.add_argument("--u", default="[1,0,0,0]", help="unit direction quaternion as JSON")
-    p_tab.add_argument("--a", default="[0,0,0,0]", help="orbit base point as JSON")
+    p_tab.add_argument("--a", help="orbit base point as JSON (--kind orbit only; default 0)")
     p_tab.add_argument("--t-min", type=float, default=-2.0)
     p_tab.add_argument("--t-max", type=float, default=2.0)
     p_tab.add_argument("--steps", type=int, default=41)

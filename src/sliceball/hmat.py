@@ -151,9 +151,9 @@ I11 = diag(ONE, Quaternion(-1.0))
 
 
 def hyperbolic(t: float) -> QMat2:
-    """H(t) = [[cosh t, sinh t], [sinh t, cosh t]], the hyperbolic rotations."""
-    c, s = Quaternion(math.cosh(t)), Quaternion(math.sinh(t))
-    return QMat2(c, s, s, c)
+    """H(t) = [[cosh t, sinh t], [sinh t, cosh t]] = exp_m(t), with exp_m's DomainError;
+    below |t| = sqrt(min normal) ~ 1.5e-154 its sinh t is off by at most |t|."""
+    return exp_m(Quaternion(t))
 
 
 def i_eps(eps: int) -> QMat2:
@@ -172,15 +172,13 @@ def scalar(v: Quaternion) -> QMat2:
 # Group membership and inversion.
 
 def _sp11_defect(a: QMat2) -> QMat2:
-    """adjoint(A) @ diag(1,-1) @ A - diag(1,-1), zero exactly on the group.
-
-    diag(1,-1) @ A is A with its second row negated, which is exact.
-    """
-    return a.adjoint() @ QMat2(a.m11, a.m12, -a.m21, -a.m22) - I11
+    """adjoint(A) sigma(A) - I, zero exactly on the group: (adjoint(A) K A - K) K for
+    K = diag(1,-1), its column 2 negated exactly, so each entry norm is kept bit for bit."""
+    return a.adjoint() @ sigma(a) - IDENTITY
 
 
 def sp11_residual(a: QMat2) -> float:
-    """Max-norm of adjoint(A) @ diag(1,-1) @ A - diag(1,-1)."""
+    """Max-norm of adjoint(A) sigma(A) - I."""
     return _sp11_defect(a).max_norm()
 
 
@@ -194,7 +192,7 @@ def sp11_check(a: QMat2) -> tuple[bool, float]:
 def column_scaled_norm(d: QMat2, a: QMat2) -> float:
     """The largest |d_ij| / (s_i s_j), where s_i = max(1, |column i of A|).
 
-    Entry (i, j) of adjoint(A) diag(1,-1) A pairs columns i and j of A, so its
+    Entry (i, j) of adjoint(A) sigma(A) pairs columns i and j of A, so its
     roundoff is of order eps s_i s_j. Measured this way a member of any orbit
     distance keeps a defect near eps, while a huge column gives no slack to the
     entries of a tiny one. Used by every gate that must scale with A; a NaN
@@ -221,18 +219,18 @@ def ensure_sp11(a: QMat2) -> QMat2:
 
 
 def sp11_inverse(a: QMat2) -> QMat2:
-    """Group inverse via the defining identity: A^-1 = diag(1,-1) adjoint(A) diag(1,-1)."""
+    """Group inverse via the defining identity: A^-1 = sigma(adjoint(A))."""
     ensure_sp11(a)
-    return I11 @ a.adjoint() @ I11
+    return sigma(a.adjoint())
 
 
 def sigma(a: QMat2) -> QMat2:
-    """The involution A -> diag(1,-1) A diag(1,-1); negates the off-diagonal entries."""
+    """The Cartan involution A -> K A K, K = diag(1,-1); negates the off-diagonal entries."""
     return QMat2(a.m11, -a.m12, -a.m21, a.m22)
 
 
 # ---------------------------------------------------------------------------
-# The Lie algebra: matrices X with adjoint(X) diag(1,-1) + diag(1,-1) X = 0,
+# The Lie algebra: matrices X with adjoint(X) + sigma(X) = 0,
 # i.e. X = [[p, conj(a)], [a, q]] with p, q imaginary.
 
 class Sp11Algebra:
@@ -262,7 +260,7 @@ def off_diag(a: Quaternion) -> Sp11Algebra:
 
 
 def algebra_residual(x: QMat2) -> float:
-    return (x.adjoint() @ I11 + I11 @ x).max_norm()
+    return (x.adjoint() + sigma(x)).max_norm()
 
 
 def algebra_check(x: QMat2) -> tuple[bool, float]:

@@ -101,9 +101,11 @@ ISO_IDENTITY = IsoGElement(ONE, 1, 0.0, 1)
 
 def iso_g_act(e: IsoGElement, q: Quaternion) -> Quaternion:
     ensure_in_ball(q, "isometries act on the open ball")
+    tt = math.tanh(e.t)
+    if abs(tt) == 1.0:
+        raise DomainError(f"an isometry acts only while |tanh(t)| rounds below 1, got t = {e.t!r}")
     if e.eps2 == -1:
         q = q.conj()
-    tt = math.tanh(e.t)
     core = (ONE + q * tt).inverse() * (q + tt)
     return (e.u * core * e.u.conj()) * float(e.eps1)
 

@@ -76,26 +76,24 @@ def _worst(values: Iterable[float], op: str) -> float:
 BALL_MARGIN = 1e-12  # the ball samplers shrink their radius by 1 - 2 BALL_MARGIN
 
 
-def sample_sphere3(rng) -> Quaternion:
-    """Uniform point on the unit 3-sphere of quaternions."""
-    v = rng.standard_normal(4)
+def _gaussian_unit(rng, dim: int) -> list[float]:
+    """A standard normal draw of dim coordinates, divided by its norm."""
+    v = rng.standard_normal(dim)
     n = math.sqrt(v.dot(v))  # bit for bit np.linalg.norm(v) of a 1-D float array
     while n < 1e-12:  # pragma: no cover - probability ~0
-        v = rng.standard_normal(4)
+        v = rng.standard_normal(dim)
         n = math.sqrt(v.dot(v))
-    w, x, y, z = v.tolist()
-    return Quaternion(w / n, x / n, y / n, z / n)
+    return [c / n for c in v.tolist()]
+
+
+def sample_sphere3(rng) -> Quaternion:
+    """Uniform point on the unit 3-sphere of quaternions."""
+    return Quaternion(*_gaussian_unit(rng, 4))
 
 
 def sample_imaginary_unit(rng) -> Quaternion:
     """Uniform point on the 2-sphere of imaginary units."""
-    v = rng.standard_normal(3)
-    n = math.sqrt(v.dot(v))
-    while n < 1e-12:  # pragma: no cover
-        v = rng.standard_normal(3)
-        n = math.sqrt(v.dot(v))
-    x, y, z = v.tolist()
-    return Quaternion(0.0, x / n, y / n, z / n)
+    return Quaternion(0.0, *_gaussian_unit(rng, 3))
 
 
 def sample_ball(rng, radius: float = 1.0) -> Quaternion:
@@ -114,7 +112,7 @@ def _rand_quat(rng, scale: float = 1.0) -> Quaternion:
     return Quaternion(*(scale * rng.standard_normal(4)).tolist())
 
 
-def _rand_alg(rng, scale: float = 1.0) -> Sp11Algebra:
+def _rand_alg(rng, scale: float) -> Sp11Algebra:
     return Sp11Algebra(_rand_quat(rng, scale).im(), _rand_quat(rng, scale).im(),
                        _rand_quat(rng, scale))
 
@@ -123,14 +121,14 @@ def _rand_m_dir(rng, max_norm: float) -> Quaternion:
     return sample_sphere3(rng) * (max_norm * float(rng.random()))
 
 
-def _rand_sp11(rng, max_t: float = 1.0) -> QMat2:
+def _rand_sp11(rng, max_t: float) -> QMat2:
     return diag(sample_sphere3(rng), sample_sphere3(rng)) @ exp_m(_rand_m_dir(rng, max_t))
 
 
-def _rand_iso(rng, max_t: float = 1.2) -> IsoGElement:
+def _rand_iso(rng) -> IsoGElement:
     return IsoGElement(sample_sphere3(rng),
                        1 if rng.random() < 0.5 else -1,
-                       max_t * (2.0 * float(rng.random()) - 1.0),
+                       1.2 * (2.0 * float(rng.random()) - 1.0),
                        1 if rng.random() < 0.5 else -1)
 
 
@@ -382,7 +380,7 @@ def check_root_finder_newton(rng, trials: int) -> Residuals:
             yield (_newton_zero(p, r + sample_sphere3(rng) * 1e-3) - r).norm()
 
 
-def _regularity_residual(f, q: Quaternion, h: float = 1e-5) -> float:
+def _regularity_residual(f, q: Quaternion, h: float) -> float:
     """|(d/dx + I d/dy) f / 2| at q, by central differences along q's slice.
 
     f is any callable on quaternions.  A real q uses the canonical slice i.

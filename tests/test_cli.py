@@ -327,6 +327,22 @@ def test_table_orbit(capsys, monkeypatch):
     assert abs(float(row[2]) - math.tanh(1.0)) <= 1e-15
 
 
+@pytest.mark.parametrize("argv", [["--a", "[5,0,0,0]"],
+                                  ["--kind", "geodesic", "--a", "[0.3,0,0,0]"]])
+def test_table_rejects_a_base_point_off_the_orbit_kind(capsys, monkeypatch, argv):
+    # --a was once dropped without a word unless --kind orbit
+    code, out, err = run_cli(capsys, monkeypatch, ["table"] + argv)
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "--a" in err and "--kind" in err
+
+
+def test_table_orbit_defaults_to_the_origin(capsys, monkeypatch):
+    argv = ["--u", "[0,1,0,0]", "--t-min", "1", "--t-max", "2", "--steps", "2"]
+    _, origin, _ = run_cli(capsys, monkeypatch, ["table", "--kind", "orbit"] + argv)
+    _, geodesic, _ = run_cli(capsys, monkeypatch, ["table"] + argv)
+    assert origin == geodesic
+
+
 def test_table_rejects_bad_steps(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch, ["table", "--steps", "1"])
     assert code == 2

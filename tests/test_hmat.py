@@ -11,10 +11,10 @@ from hypothesis import given, strategies as st
 from test_quat import _bits, anyfloat, anyquat
 from sliceball import verify
 from sliceball.errors import DomainError
-from sliceball.hmat import (I11, IDENTITY, QMat2, Sp11Algebra, algebra_check,
-                            algebra_residual, diag, exp_general, exp_m, hyperbolic,
-                            lie_bracket, off_diag, psi_embed, sigma,
-                            sp11_check, sp11_inverse)
+from sliceball.hmat import (I11, IDENTITY, QMat2, Sp11Algebra, _sp11_defect,
+                            algebra_check, algebra_residual, column_scaled_norm, diag,
+                            exp_general, exp_m, hyperbolic, lie_bracket, off_diag,
+                            psi_embed, sigma, sp11_check, sp11_inverse, sp11_residual)
 from sliceball.quat import I, J, K, ONE, ZERO, Quaternion
 from sliceball.verify import sample_sphere3
 
@@ -165,6 +165,39 @@ def test_sigma():
     assert sigma(sigma(a)) == a
 
 
+def _product_defect(a: QMat2) -> QMat2:
+    """adjoint(A) diag(1,-1) A - diag(1,-1), with the form written as a product."""
+    return a.adjoint() @ QMat2(a.m11, a.m12, -a.m21, -a.m22) - I11
+
+
+def _product_algebra_residual(x: QMat2) -> float:
+    return (x.adjoint() @ I11 + I11 @ x).max_norm()
+
+
+def _same_forms(a: QMat2) -> None:
+    assert _bits(sp11_residual(a)) == _bits(_product_defect(a).max_norm())
+    assert _bits(column_scaled_norm(_sp11_defect(a), a)) == _bits(
+        column_scaled_norm(_product_defect(a), a))
+    assert _bits(algebra_residual(a)) == _bits(_product_algebra_residual(a))
+
+
+def test_sigma_forms_equal_the_product_forms_on_the_group():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        a = verify._rand_sp11(rng, 3.0)
+        assert sp11_inverse(a) == I11 @ a.adjoint() @ I11  # == counts -0.0 as 0.0
+        _same_forms(a)
+
+
+finitequat = st.builds(Quaternion, *[st.floats(allow_nan=False, allow_infinity=False)] * 4)
+finitemat = st.builds(QMat2, *[finitequat] * 4)
+
+
+@given(finitemat)
+def test_sigma_forms_equal_the_product_forms_bit_for_bit(a):
+    _same_forms(a)
+
+
 def test_algebra_membership():
     assert algebra_check(off_diag(Quaternion(1, 2, 3, 4)).as_matrix())[0]
     assert not algebra_check(diag(ONE, ZERO))[0]
@@ -189,13 +222,20 @@ def test_bracket_examples():
 
 def test_exp_m_examples():
     assert exp_m(Quaternion()) == IDENTITY
-    t = 1.3
-    assert (exp_m(Quaternion(t)) - hyperbolic(t)).max_norm() <= 1e-15
-    assert (exp_m(Quaternion(-t)) - hyperbolic(-t)).max_norm() <= 1e-15
+    for t in (1.3, -1.3):  # == counts -0.0 as 0.0
+        c, s = Quaternion(math.cosh(t)), Quaternion(math.sinh(t))
+        assert exp_m(Quaternion(t)) == QMat2(c, s, s, c)
     e = exp_m(I)
     c, s = math.cosh(1.0), math.sinh(1.0)
     assert (e - QMat2(Quaternion(c), -I * s, I * s, Quaternion(c))).max_norm() <= 1e-15
     assert sp11_check(e)[0]
+
+
+@pytest.mark.parametrize("t", [800.0, -800.0, math.nan])
+def test_hyperbolic_takes_the_domain_of_exp_m(t):
+    # H(800) once raised a bare OverflowError and H(nan) gave a NaN matrix
+    with pytest.raises(DomainError, match="exp_m needs"):
+        hyperbolic(t)
 
 
 def test_exponentials_say_why_they_overflow():

@@ -379,3 +379,12 @@ def test_iso_g_act_rejects_nan():
         iso_g_act(IsoGElement(ONE, 1, 0.5, 1), _NAN)
     with pytest.raises(DomainError):
         iso_g_act(IsoGElement(ONE, 1, 0.5, 1), Quaternion(1.0))
+
+
+@pytest.mark.parametrize("t", [40.0, -40.0])
+def test_iso_g_act_rejects_a_t_whose_tanh_rounds_to_one(t):
+    # tanh(+-40) rounds to +-1: every orbit collapsed, and t = -40 gave exactly -1
+    with pytest.raises(DomainError, match="t = "):
+        iso_g_act(IsoGElement(ONE, 1, t, 1), Quaternion(0.1, 0.2, 0.3))
+    assert iso_g_act(IsoGElement(ONE, 1, math.copysign(19.0, t), 1),
+                     Quaternion(0.1, 0.2, 0.3)).norm() < 1.0

@@ -95,7 +95,8 @@ def malformed_cases() -> list[tuple[list[str], str]]:
     tables = [["--u", "[2,0,0,0]"], ["--u", "x"], ["--u", _DEEP], ["--steps", "1"],
               ["--t-min=nan"], ["--t-min=-1", "--t-max=1e400"],
               ["--t-min=-1e308", "--t-max=1e308"], ["--kind", "orbit", "--a", "[1,0,0,0]"],
-              ["--kind", "orbit", "--a", f"[{_HUGE},0,0,0]"]]
+              ["--kind", "orbit", "--a", f"[{_HUGE},0,0,0]"], ["--a", "[5,0,0,0]"],
+              ["--kind", "geodesic", "--a", "[0.3,0,0,0]"]]
     cases += [(["table"] + t, "") for t in tables]
     return cases
 
