@@ -4,7 +4,8 @@ geodesic/orbit tables, and the randomized verification suite.
 All numeric output is printed with 17 significant digits so reports are stable
 under diffing; identical seed and configuration give byte-identical reports.
 Timing is written to stderr only. Only this module reads and writes the JSON wire
-format: a quaternion is [w, x, y, z], a matrix a 2x2 array of quaternions.
+format: a quaternion is [w, x, y, z], a matrix a 2x2 array of quaternions. Input
+comes from stdin; output is json or the human report.
 """
 
 from __future__ import annotations
@@ -60,17 +61,6 @@ def _parse_json(text: str) -> object:
         raise ValueError("JSON input is nested too deeply") from exc
 
 
-def _read_input(args) -> object:
-    if not getattr(args, "file", None):
-        return _parse_json(sys.stdin.read())
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:  # a missing or unreadable file is an input error
-        raise ValueError(str(exc)) from exc
-    return _parse_json(text)
-
-
 def _emit(payload: dict, fmt: str, human_lines: list[str]) -> None:
     if fmt == "json":
         try:
@@ -78,16 +68,6 @@ def _emit(payload: dict, fmt: str, human_lines: list[str]) -> None:
         except ValueError as exc:  # a NaN or infinity: fail rather than print non-JSON
             raise ConsistencyError(f"result is not finite: {payload!r}") from exc
         print(text)
-    elif fmt == "csv":
-        row = {}
-        for key in sorted(payload):
-            value = payload[key]
-            if isinstance(value, list):  # a quaternion: one column per coordinate
-                row.update((f"{key}_{c}", _fmt(v)) for c, v in zip("wxyz", value))
-            else:
-                row[key] = _fmt(value) if isinstance(value, float) else str(value)
-        print(",".join(row))
-        print(",".join(row.values()))
     else:
         for line in human_lines:
             print(line)
@@ -98,7 +78,7 @@ def _emit(payload: dict, fmt: str, human_lines: list[str]) -> None:
 
 def cmd_check(args) -> int:
     from .hmat import algebra_check, sp11_check, sp11_residual
-    mat = _mat_from_list(_read_input(args))
+    mat = _mat_from_list(_parse_json(sys.stdin.read()))
     what = args.what
     if what == "sp11":
         ok, residual = sp11_check(mat)
@@ -132,7 +112,7 @@ def cmd_mobius(args) -> int:
     from .hmat import ensure_sp11
     from .mobius import classical_apply, regular_apply
     from .quat import ensure_in_ball
-    data = _read_input(args)
+    data = _parse_json(sys.stdin.read())
     mat = _mat_from_list(data["matrix"])
     point = _quat_from_list(data["point"])
     ensure_sp11(mat)
@@ -151,7 +131,7 @@ def cmd_decompose(args) -> int:
     from .lie import slice_compose, slice_decompose, symm_compose, symm_decompose
     decompose, compose = ((symm_decompose, symm_compose) if args.mode == "symm"
                           else (slice_decompose, slice_compose))
-    mat = _mat_from_list(_read_input(args))
+    mat = _mat_from_list(_parse_json(sys.stdin.read()))
     fact = decompose(mat)
     residual = (compose(fact) - mat).max_norm()
     payload = {"u": _quat_to_list(fact.u), "v": _quat_to_list(fact.v),
@@ -177,11 +157,6 @@ def cmd_verify(args) -> int:
                            "value": r.value if math.isfinite(r.value) else None,
                            "tol": r.tol, "op": r.op, "trials": r.trials,
                            "pass": r.passed} for r in results], sort_keys=True, allow_nan=False))
-    elif args.format == "csv":
-        print("name,suite,value,tol,op,trials,pass")
-        for r in results:
-            print(f"{r.name},{r.suite},{_fmt(r.value)},{_fmt(r.tol)},{r.op},"
-                  f"{r.trials},{r.passed}")
     else:
         width = max(len(r.name) for r in results)
         for r in results:
@@ -228,20 +203,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--what", required=True,
                          choices=["sp11", "algebra", "o11"]
                          + [f"centralizer:{s}" for s in CENTRALIZER_SUBGROUPS])
-    p_check.add_argument("--file", help="JSON input file (default: stdin)")
-    p_check.add_argument("--format", choices=["json", "csv", "human"], default="human")
+    p_check.add_argument("--format", choices=["json", "human"], default="human")
     p_check.set_defaults(run=cmd_check)
 
     p_mob = sub.add_parser("mobius", help="apply a Mobius transformation to a ball point")
     p_mob.add_argument("--kind", choices=["classical", "regular"], default="classical")
-    p_mob.add_argument("--file", help="JSON {matrix, point} input file (default: stdin)")
-    p_mob.add_argument("--format", choices=["json", "csv", "human"], default="human")
+    p_mob.add_argument("--format", choices=["json", "human"], default="human")
     p_mob.set_defaults(run=cmd_mobius)
 
     p_dec = sub.add_parser("decompose", help="factor a group matrix")
     p_dec.add_argument("--mode", choices=["symm", "slice"], required=True)
-    p_dec.add_argument("--file", help="JSON matrix input file (default: stdin)")
-    p_dec.add_argument("--format", choices=["json", "csv", "human"], default="human")
+    p_dec.add_argument("--format", choices=["json", "human"], default="human")
     p_dec.set_defaults(run=cmd_decompose)
 
     p_ver = sub.add_parser("verify", help="run the randomized verification suite")
@@ -249,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--seed", type=int, default=1)
     p_ver.add_argument("--trials", type=int, default=None,
                        help="override the per-check sample count")
-    p_ver.add_argument("--format", choices=["json", "csv", "human"], default="human")
+    p_ver.add_argument("--format", choices=["json", "human"], default="human")
     p_ver.set_defaults(run=cmd_verify)
 
     p_tab = sub.add_parser("table", help="emit a geodesic or orbit sample table as CSV")

@@ -521,16 +521,12 @@ def check_regular_map_zero(rng, trials: int) -> Residuals:
 
 
 def check_regular_pullback(rng, trials: int) -> Residuals:
-    # The slice metric at q is the Euclidean form pulled back through M_q, which sends q to 0.
+    # The slice metric at q is the Euclidean form pulled back through M_q, which sends q to
+    # 0, where slice_g rounds to the Euclidean form.
     for _ in range(trials):
         q = sample_ball(rng, 0.7)
         mat = mobius_M(q)
-        jac = differential(lambda p: regular_apply(mat, p), q)
-        for _ in range(10):
-            av, bv = rng.standard_normal(4), rng.standard_normal(4)
-            alpha, beta = Quaternion(*av.tolist()), Quaternion(*bv.tolist())
-            da, db = Quaternion(*(jac @ av).tolist()), Quaternion(*(jac @ bv).tolist())
-            yield abs(slice_g(q, alpha, beta) - (da * db.conj()).w)
+        yield pullback_residual(lambda p: regular_apply(mat, p), slice_g, q, rng, trials=10)
 
 
 def check_slice_positive_definite(rng, trials: int) -> Residuals:

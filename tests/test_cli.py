@@ -1,7 +1,6 @@
 """Exit codes, wire formats, and report determinism of the command line tool."""
 
 import ast
-import csv
 import io
 import json
 import math
@@ -9,15 +8,18 @@ import os
 import subprocess
 import sys
 import textwrap
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from sliceball import verify
+from sliceball import CENTRALIZER_SUBGROUPS, verify
 from sliceball.cli import _mat_from_list, _quat_from_list, _quat_to_list, main
 from sliceball.hmat import I11, IDENTITY, QMat2, diag, exp_m, hyperbolic
 from sliceball.lie import SliceFactorization, SymmFactorization
-from sliceball.quat import I, J, ONE, Quaternion
+from sliceball.quat import I, J, ONE, Quaternion, sgn
 
 
 def quat_to_list(q):
@@ -254,49 +256,6 @@ def test_verify_json_writes_a_failing_infinity_as_null(capsys, monkeypatch):
     rows = {r["name"]: r for r in json.loads(out, parse_constant=reject)}
     assert rows["orbit-grid-oracle"]["value"] is None and rows["orbit-grid-oracle"]["pass"] is False
     assert rows["orbit-real-axis"]["value"] == 0.0 and rows["orbit-real-axis"]["pass"] is True
-    _, out, _ = run_cli(capsys, monkeypatch, argv + ["--format", "csv"])
-    assert "orbit-grid-oracle,orbits,inf,9.9999999999999995e-07,<=,10,False" in out.splitlines()
-
-
-def test_verify_csv_format(capsys, monkeypatch):
-    code, out, _ = run_cli(capsys, monkeypatch,
-                           ["verify", "--suite", "orbits", "--trials", "5",
-                            "--format", "csv"])
-    assert code == 0
-    header = out.splitlines()[0]
-    assert header == "name,suite,value,tol,op,trials,pass"
-
-
-_GROUP = mat_to_list(diag(I, ONE) @ exp_m(Quaternion(0.3, -0.2, 0.1, 0.4)))
-_DECOMPOSE_HEADER = ["X_w", "X_x", "X_y", "X_z", "residual",
-                     "u_w", "u_x", "u_y", "u_z", "v_w", "v_x", "v_y", "v_z"]
-
-
-@pytest.mark.parametrize("argv, stdin, header", [
-    (["mobius", "--kind", "classical"], {"matrix": _GROUP, "point": [0.1, 0.2, 0, -0.3]},
-     ["point_w", "point_x", "point_y", "point_z"]),
-    (["mobius", "--kind", "regular"], {"matrix": _GROUP, "point": [0.1, 0.2, 0, -0.3]},
-     ["point_w", "point_x", "point_y", "point_z"]),
-    (["decompose", "--mode", "symm"], _GROUP, _DECOMPOSE_HEADER),
-    (["decompose", "--mode", "slice"], _GROUP, _DECOMPOSE_HEADER),
-], ids=["mobius-classical", "mobius-regular", "decompose-symm", "decompose-slice"])
-def test_csv_writes_a_column_per_coordinate(capsys, monkeypatch, argv, stdin, header):
-    # a quaternion field spreads over one column per coordinate, and every
-    # value reads back as the json report's value
-    code, out, _ = run_cli(capsys, monkeypatch, argv + ["--format", "csv"],
-                           stdin=json.dumps(stdin))
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert len(rows) == 2 and rows[0] == header and len(rows[1]) == len(header)
-    _, out, _ = run_cli(capsys, monkeypatch, argv + ["--format", "json"],
-                        stdin=json.dumps(stdin))
-    want = {}
-    for key, value in json.loads(out).items():
-        if isinstance(value, list):
-            want.update((f"{key}_{c}", v) for c, v in zip("wxyz", value))
-        else:
-            want[key] = value
-    assert dict(zip(rows[0], map(float, rows[1]))) == want
 
 
 def test_table_geodesic(capsys, monkeypatch):
@@ -346,14 +305,6 @@ def test_table_orbit_defaults_to_the_origin(capsys, monkeypatch):
 def test_table_rejects_bad_steps(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch, ["table", "--steps", "1"])
     assert code == 2
-
-
-def test_file_input(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "mat.json"
-    path.write_text(json.dumps(mat_to_list(IDENTITY)))
-    code, out, _ = run_cli(capsys, monkeypatch,
-                           ["check", "--what", "sp11", "--file", str(path)])
-    assert code == 0 and out.startswith("PASS")
 
 
 # Modules that no per-call command may load: numpy, the worker pool and the
@@ -542,15 +493,6 @@ def test_mobius_rejects_an_image_rounded_onto_the_boundary(capsys, monkeypatch, 
     assert "domain error" in err and "open ball" in err
 
 
-@pytest.mark.parametrize("argv", [["check", "--what", "sp11"], ["mobius"],
-                                  ["decompose", "--mode", "symm"]])
-def test_missing_input_file_is_an_input_error(tmp_path, capsys, monkeypatch, argv):
-    missing = str(tmp_path / "absent.json")
-    code, out, err = run_cli(capsys, monkeypatch, argv + ["--file", missing])
-    assert code == 2 and out == ""
-    assert err.startswith("input error:") and "absent.json" in err
-
-
 @pytest.mark.parametrize("argv, stdin", [
     (["check", "--what", "sp11"],
      '[[["1",0,0,0],[0,0,0,0]],[[0,0,0,0],[1,0,0,0]]]'),
@@ -652,20 +594,89 @@ def test_a_nan_entry_fails_the_check(capsys, monkeypatch, what, stdin, fmt):
 DEEP = "[" * 100000  # deeper than the interpreter's recursion limit
 
 
-@pytest.mark.parametrize("argv, source", [
-    (["check", "--what", "sp11"], "stdin"), (["check", "--what", "sp11"], "file"),
-    (["mobius"], "stdin"), (["mobius"], "file"),
-    (["decompose", "--mode", "symm"], "stdin"), (["decompose", "--mode", "slice"], "file"),
+@pytest.mark.parametrize("argv, stdin", [
+    (["check", "--what", "sp11"], DEEP), (["mobius"], DEEP),
+    (["decompose", "--mode", "symm"], DEEP),
     (["table", "--u", DEEP], None), (["table", "--kind", "orbit", "--a", DEEP], None),
-], ids=["check-stdin", "check-file", "mobius-stdin", "mobius-file", "decompose-stdin",
-        "decompose-file", "table-u", "table-a"])
-def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, monkeypatch, argv, source):
+], ids=["check-stdin", "mobius-stdin", "decompose-stdin", "table-u", "table-a"])
+def test_deeply_nested_json_is_an_input_error(capsys, monkeypatch, argv, stdin):
     # json raises RecursionError here, which once ended in a traceback
-    if source == "file":
-        path = tmp_path / "deep.json"
-        path.write_text(DEEP)
-        argv = argv + ["--file", str(path)]
-    code, out, err = run_cli(capsys, monkeypatch, argv,
-                             stdin=DEEP if source == "stdin" else None)
+    code, out, err = run_cli(capsys, monkeypatch, argv, stdin=stdin)
     assert code == 2 and out == ""
     assert err.startswith("input error:") and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--what", "sp11", "--file", "mat.json"], ["mobius", "--file", "mat.json"],
+    ["decompose", "--mode", "symm", "--file", "mat.json"],
+    ["check", "--what", "sp11", "--format", "csv"], ["mobius", "--format", "csv"],
+    ["decompose", "--mode", "symm", "--format", "csv"], ["verify", "--format", "csv"],
+], ids=["check-file", "mobius-file", "decompose-file", "check-csv", "mobius-csv",
+        "decompose-csv", "verify-csv"])
+def test_removed_options_are_usage_errors(capsys, monkeypatch, argv):
+    # input comes from stdin only, and the machine format is json only
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, monkeypatch, argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and err.startswith("usage: sliceball")
+    assert "unrecognized arguments: --file" in err or "invalid choice: 'csv'" in err
+
+
+# The wire-format fuzz: every input command, in both formats, on random JSON
+# bodies. A body may carry NaN, infinities, huge numbers, bools, strings, null,
+# wrong shapes or no point; the exit code stays 0, 1 or 2 and json stays strict.
+_FUZZ_COMMANDS = ([["check", "--what", w] for w in ["sp11", "algebra", "o11"]
+                   + [f"centralizer:{s}" for s in CENTRALIZER_SUBGROUPS]]
+                  + [["mobius", "--kind", k] for k in ("classical", "regular")]
+                  + [["decompose", "--mode", m] for m in ("symm", "slice")])
+_SCALARS = st.one_of(st.floats(-2, 2), st.floats(), st.integers(),
+                     st.sampled_from([1e308, -1e308, 10 ** 400]),
+                     st.booleans(), st.text(max_size=2), st.none())
+_QUATS = st.one_of(st.lists(st.floats(-1, 1), min_size=4, max_size=4),
+                   st.lists(_SCALARS, min_size=4, max_size=4), st.lists(_SCALARS, max_size=5),
+                   _SCALARS)
+# diag(u, v) exp(X) with unit u, v: in the group, and far out along it for the larger X
+_GROUP = st.builds(lambda u, v, x: mat_to_list(diag(sgn(u), sgn(v)) @ exp_m(x)),
+                   *[st.builds(Quaternion, *[st.floats(-12, 12)] * 4)] * 3)
+_POINTS = st.lists(st.floats(-1.2, 1.2), min_size=4, max_size=4)
+_MATS = st.one_of(st.lists(st.lists(_QUATS, min_size=2, max_size=2), min_size=2, max_size=2),
+                  st.lists(st.lists(_QUATS, max_size=3), max_size=3), _QUATS)
+_HUGE = [[[10 ** 400, 0, 0, 0], [0, 0, 0, 0]], [[0, 0, 0, 0], [1, 0, 0, 0]]]
+_HUGE_POINT = json.dumps({"matrix": mat_to_list(IDENTITY), "point": [0, 10 ** 400, 0, 0]})
+_AT_EXIT_2 = {json.dumps(_HUGE), _HUGE_POINT, DEEP}
+
+
+def _fuzz_case(argv):
+    """A command and a JSON body for it: well formed (a group matrix, with a point for
+    mobius) or free form, where mobius may also get a bare matrix or no point."""
+    bodies = [_GROUP, _MATS]
+    if argv[0] == "mobius":
+        bodies = [st.fixed_dictionaries({"matrix": _GROUP, "point": _POINTS}),
+                  st.fixed_dictionaries({"matrix": _MATS}, optional={"point": _QUATS}), _MATS]
+    # sampled_from draws the bodies evenly, which one_of does not
+    body = st.sampled_from(bodies).flatmap(lambda b: b)
+    return st.tuples(st.just(argv), body.map(json.dumps))
+
+
+def _reject_constant(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.sampled_from(_FUZZ_COMMANDS).flatmap(_fuzz_case),
+       fmt=st.sampled_from(["json", "human"]))
+@example(case=(["check", "--what", "sp11"], json.dumps(_HUGE)), fmt="json")
+@example(case=(["decompose", "--mode", "slice"], json.dumps(_HUGE)), fmt="human")
+@example(case=(["mobius", "--kind", "regular"], _HUGE_POINT), fmt="json")
+@example(case=(["check", "--what", "o11"], DEEP), fmt="json")
+@example(case=(["mobius", "--kind", "classical"], DEEP), fmt="human")
+def test_wire_format_fuzz(case, fmt):
+    argv, body = case
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(body)), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv + ["--format", fmt])
+    assert code in ((2,) if body in _AT_EXIT_2 else (0, 1, 2))
+    if code == 2:
+        assert err.getvalue().startswith("input error:") and out.getvalue() == ""
+    if fmt == "json" and out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

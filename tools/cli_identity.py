@@ -5,11 +5,11 @@
 PARENT and CHANGE are checkouts of the repository, each holding
 src/sliceball. Both run the same cases, each in a fresh process:
 
-- ``verify --suite all --seed S`` for S = 1..8, in the json, csv and human
+- ``verify --suite all --seed S`` for S = 1..8, in the json and human
   formats;
-- ``verify --suite S --trials 3 --seed 1`` for each named suite S, in the
-  three formats;
-- every command of ``bench/workloads.CliOneshot`` for seeds 1..8, in the three
+- ``verify --suite S --trials 3 --seed 1`` for each named suite S, in both
+  formats;
+- every command of ``bench/workloads.CliOneshot`` for seeds 1..8, in both
   formats (the ``table`` commands, which have no format, once per seed);
 - a fixed set of malformed inputs: bad JSON, wrong shapes, strings, bools,
   null, NaN, 1e308, a 400-digit integer, nesting deeper than the interpreter's
@@ -41,7 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(1, 9)
 SUITES = ("decompose", "mobius", "metrics", "isometry", "orbits")  # the named suites
-FORMATS = ("json", "csv", "human")
+FORMATS = ("json", "human")
 TIMEOUT_S = 300
 WORKERS = 2
 SHOWN = 300  # characters of each differing field printed
