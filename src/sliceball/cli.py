@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -148,6 +149,9 @@ def cmd_decompose(args) -> int:
 # verify
 
 def cmd_verify(args) -> int:
+    # The suite's linear algebra is 4x4, too small to share between threads:
+    # OpenBLAS's extra threads would only cost CPU time.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import verify  # numpy loads only for the suite
     start = time.perf_counter()
     results = verify.run_checks(args.suite, seed=args.seed, trials=args.trials)

@@ -13,7 +13,7 @@ import math
 import sys
 
 from .errors import DomainError
-from .quat import ONE, ZERO, Quaternion, _reject_entries, sgn
+from .quat import ONE, ZERO, Quaternion, _of_floats, _reject_entries
 
 # Residual thresholds: the group membership check is quadratic in the entries,
 # the algebra check is exactly linear.
@@ -173,8 +173,29 @@ def scalar(v: Quaternion) -> QMat2:
 
 def _sp11_defect(a: QMat2) -> QMat2:
     """adjoint(A) sigma(A) - I, zero exactly on the group: (adjoint(A) K A - K) K for
-    K = diag(1,-1), its column 2 negated exactly, so each entry norm is kept bit for bit."""
-    return a.adjoint() @ sigma(a) - IDENTITY
+    K = diag(1,-1), its column 2 negated exactly, so each entry norm is kept bit for bit.
+    Entry (i, j) is conj(a_1i) s_1j + conj(a_2i) s_2j - delta_ij, s = sigma(A), fused."""
+    a11, a12, a21, a22 = a.m11, a.m12, a.m21, a.m22
+    s12, s21 = -a12, -a21
+    return QMat2(_conj_mul_add(a11, a11, a21, s21, 1.0), _conj_mul_add(a11, s12, a21, a22, 0.0),
+                 _conj_mul_add(a12, a11, a22, s21, 0.0), _conj_mul_add(a12, s12, a22, a22, 1.0))
+
+
+def _conj_mul_add(p: Quaternion, q: Quaternion, r: Quaternion, s: Quaternion,
+                  delta: float) -> Quaternion:
+    """conj(p) q + conj(r) s - delta in one allocation, rounding as the operators do
+    bit for bit: (-x) * y is -(x * y) and a - (-b) is a + b exactly, and x - 0.0 is x."""
+    pw, px, py, pz = p.w, p.x, p.y, p.z
+    qw, qx, qy, qz = q.w, q.x, q.y, q.z
+    rw, rx, ry, rz = r.w, r.x, r.y, r.z
+    sw, sx, sy, sz = s.w, s.x, s.y, s.z
+    out = _new(Quaternion)
+    out.w = ((pw * qw + px * qx + py * qy + pz * qz)
+             + (rw * sw + rx * sx + ry * sy + rz * sz)) - delta
+    out.x = (pw * qx - px * qw - py * qz + pz * qy) + (rw * sx - rx * sw - ry * sz + rz * sy)
+    out.y = (pw * qy + px * qz - py * qw - pz * qx) + (rw * sy + rx * sz - ry * sw - rz * sx)
+    out.z = (pw * qz - px * qy + py * qx - pz * qw) + (rw * sz - rx * sy + ry * sx - rz * sw)
+    return out
 
 
 def sp11_residual(a: QMat2) -> float:
@@ -198,10 +219,11 @@ def column_scaled_norm(d: QMat2, a: QMat2) -> float:
     entries of a tiny one. Used by every gate that must scale with A; a NaN
     anywhere gives NaN.
     """
-    s1 = max(1.0, math.hypot(a.m11.norm(), a.m21.norm()))
-    s2 = max(1.0, math.hypot(a.m12.norm(), a.m22.norm()))
-    return nan_max((d.m11.norm() / s1 / s1, d.m12.norm() / s1 / s2,
-                    d.m21.norm() / s2 / s1, d.m22.norm() / s2 / s2))
+    n = [math.sqrt(e.w * e.w + e.x * e.x + e.y * e.y + e.z * e.z)  # Quaternion.norm
+         for e in (a.m11, a.m21, a.m12, a.m22, d.m11, d.m12, d.m21, d.m22)]
+    s1 = max(1.0, math.hypot(n[0], n[1]))
+    s2 = max(1.0, math.hypot(n[2], n[3]))
+    return nan_max((n[4] / s1 / s1, n[5] / s1 / s2, n[6] / s2 / s1, n[7] / s2 / s2))
 
 
 def ensure_sp11(a: QMat2) -> QMat2:
@@ -288,9 +310,11 @@ def exp_m(q: Quaternion) -> QMat2:
         return IDENTITY
     if not r <= _COSH_MAX_ARG:
         raise DomainError(f"exp_m needs |q| <= acosh(max double) = {_COSH_MAX_ARG!r}, got {r!r}")
-    u = sgn(q)
-    c, s = Quaternion(math.cosh(r)), math.sinh(r)
-    return QMat2(c, u.conj() * s, u * s, c)
+    # sgn(q) * sinh r, and conj(sgn(q)) * sinh r with (-x) * s written -(x * s)
+    s = math.sinh(r)
+    sw, sx, sy, sz = q.w / r * s, q.x / r * s, q.y / r * s, q.z / r * s
+    c = _of_floats(math.cosh(r), 0.0, 0.0, 0.0)
+    return QMat2(c, _of_floats(sw, -sx, -sy, -sz), _of_floats(sw, sx, sy, sz), c)
 
 
 _COSH_MAX_ARG = math.acosh(sys.float_info.max)  # exp_m's domain: cosh overflows past it

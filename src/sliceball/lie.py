@@ -33,12 +33,21 @@ class SliceFactorization(namedtuple("SliceFactorization", "u x v")):
     __slots__ = ()
 
 
+# Both products, from the entries [[c, e12], [e21, c]] of exp_m(x), equal the matrix
+# products entry by entry; those add 0 * e terms, which can flip the sign of a zero.
+
 def symm_compose(f: SymmFactorization) -> QMat2:
-    return diag(f.u, f.v) @ exp_m(f.x)
+    """diag(u, v) exp(X) = [[c u, u e12], [v e21, c v]]."""
+    e = exp_m(f.x)
+    c = e.m11.w
+    return QMat2(c * f.u, f.u * e.m12, f.v * e.m21, c * f.v)
 
 
 def slice_compose(f: SliceFactorization) -> QMat2:
-    return diag(f.u, ONE) @ exp_m(f.x) @ scalar(f.v)
+    """diag(u, 1) exp(X) (v I2) = [[(c u) v, (u e12) v], [e21 v, c v]]."""
+    e = exp_m(f.x)
+    c, v = e.m11.w, f.v
+    return QMat2((c * f.u) * v, (f.u * e.m12) * v, e.m21 * v, c * v)
 
 
 def _ensure_recomposes(recomposed: QMat2, a: QMat2) -> None:

@@ -15,7 +15,7 @@ from typing import Callable
 from .errors import DomainError
 from .hmat import nan_max
 from .mobius import differential
-from .quat import ONE, Quaternion, ensure_in_ball, ensure_unit
+from .quat import ONE, Quaternion, _of_floats, ensure_in_ball, ensure_unit
 
 MetricFn = Callable[[Quaternion, Quaternion, Quaternion], float]
 
@@ -27,9 +27,18 @@ def poincare_g(q: Quaternion, alpha: Quaternion, beta: Quaternion) -> float:
     return (alpha * beta.conj()).w / (den * den)
 
 
-def _twisted(q: Quaternion, v: Quaternion) -> Quaternion:
-    # The bilinear numerator factor v - q v q.
-    return v - q * v * q
+def _twisted(qw: float, qx: float, qy: float, qz: float, v: Quaternion) -> tuple:
+    """The bilinear numerator factor v - q v q as four floats, rounded as the
+    quaternion operators round v - q * v * q."""
+    vw, vx, vy, vz = v.w, v.x, v.y, v.z
+    pw = qw * vw - qx * vx - qy * vy - qz * vz
+    px = qw * vx + qx * vw + qy * vz - qz * vy
+    py = qw * vy - qx * vz + qy * vw + qz * vx
+    pz = qw * vz + qx * vy - qy * vx + qz * vw
+    return (vw - (pw * qw - px * qx - py * qy - pz * qz),
+            vx - (pw * qx + px * qw + py * qz - pz * qy),
+            vy - (pw * qy - px * qz + py * qw + pz * qx),
+            vz - (pw * qz + px * qy - py * qx + pz * qw))
 
 
 def slice_h(q: Quaternion, alpha: Quaternion, beta: Quaternion) -> Quaternion:
@@ -40,15 +49,23 @@ def slice_h(q: Quaternion, alpha: Quaternion, beta: Quaternion) -> Quaternion:
     left = (ONE - q * q).inverse()
     right = (ONE - q.conj() * q.conj()).inverse()
     den = 1.0 - q.norm_sq()
-    return (left * _twisted(q, alpha) * _twisted(q, beta).conj() * right) / (den * den)
+    ta = _of_floats(*_twisted(q.w, q.x, q.y, q.z, alpha))
+    tb = _of_floats(*_twisted(q.w, q.x, q.y, q.z, beta))
+    return (left * ta * tb.conj() * right) / (den * den)
 
 
 def slice_g(q: Quaternion, alpha: Quaternion, beta: Quaternion) -> float:
     """Real part of the Hermitian form:
-    Re((alpha - q alpha q) conj(beta - q beta q)) / (|1-q^2|^2 (1-|q|^2)^2)."""
+    Re((alpha - q alpha q) conj(beta - q beta q)) / (|1-q^2|^2 (1-|q|^2)^2),
+    on floats that round as the quaternion operators of this form do, bit for bit."""
     ensure_in_ball(q, "the metrics are defined on the open ball")
-    num = (_twisted(q, alpha) * _twisted(q, beta).conj()).w
-    den = (ONE - q * q).norm_sq() * (1.0 - q.norm_sq()) ** 2
+    qw, qx, qy, qz = q.w, q.x, q.y, q.z
+    aw, ax, ay, az = _twisted(qw, qx, qy, qz, alpha)
+    bw, bx, by, bz = _twisted(qw, qx, qy, qz, beta)
+    num = aw * bw + ax * bx + ay * by + az * bz
+    sq = q * q
+    sw = 1.0 - sq.w  # 1 - q^2 = (sw, -sq.x, -sq.y, -sq.z)
+    den = (sw * sw + sq.x * sq.x + sq.y * sq.y + sq.z * sq.z) * (1.0 - q.norm_sq()) ** 2
     return num / den
 
 
@@ -63,12 +80,10 @@ def pullback_residual(fn: Callable[[Quaternion], Quaternion], metric: MetricFn,
     image = fn(q)
     diffs = []
     for _ in range(trials):
-        av = rng.standard_normal(4)
-        bv = rng.standard_normal(4)
-        alpha = Quaternion(*av.tolist())
-        beta = Quaternion(*bv.tolist())
-        da = Quaternion(*(jac @ av).tolist())
-        db = Quaternion(*(jac @ bv).tolist())
+        v = rng.standard_normal(8)  # the stream of two standard_normal(4) draws
+        av, bv = v[:4], v[4:]
+        alpha, beta = _of_floats(*av.tolist()), _of_floats(*bv.tolist())
+        da, db = _of_floats(*(jac @ av).tolist()), _of_floats(*(jac @ bv).tolist())
         diffs.append(abs(metric(q, alpha, beta) - metric(image, da, db)))
     return nan_max(diffs)
 

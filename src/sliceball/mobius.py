@@ -11,7 +11,7 @@ from typing import Callable
 
 from .errors import ConsistencyError, DomainError
 from .hmat import QMat2, diag, ensure_sp11, sp11_check
-from .quat import ONE, Quaternion, ensure_in_ball
+from .quat import ONE, Quaternion, _of_floats, ensure_in_ball
 
 # Default central-difference step: balances O(h^2) truncation against cancellation.
 FD_STEP = 1e-5
@@ -86,17 +86,16 @@ def differential(fn: Callable[[Quaternion], Quaternion], q: Quaternion,
     coords = [q.w, q.x, q.y, q.z]
     if h <= 0.0 or any(c + h == c for c in coords):
         raise DomainError(f"finite-difference step {h!r} underflows at {q!r}")
-    jac = np.empty((4, 4))
+    cols = []
     for col in range(4):
         plus = list(coords)
         minus = list(coords)
         plus[col] += h
         minus[col] -= h
-        fp = fn(Quaternion(*plus))
-        fm = fn(Quaternion(*minus))
-        d = (fp - fm) / (2.0 * h)
-        jac[:, col] = (d.w, d.x, d.y, d.z)
-    return jac
+        cols.append((fn(_of_floats(*plus)) - fn(_of_floats(*minus))) / (2.0 * h))
+    # one C-contiguous array, row by row, so that jac @ v sums as it always has
+    return np.array([[d.w for d in cols], [d.x for d in cols],
+                     [d.y for d in cols], [d.z for d in cols]])
 
 
 class O11Parts(namedtuple("O11Parts", "eps reflected t")):

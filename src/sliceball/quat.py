@@ -93,9 +93,6 @@ class Quaternion:
             r.y = pw * qy - px * qz + py * qw + pz * qx
             r.z = pw * qz + px * qy - py * qx + pz * qw
             return r
-        return self.__rmul__(other)
-
-    def __rmul__(self, other) -> "Quaternion":
         # Real scalars commute with everything.
         if isinstance(other, (int, float)):
             s = float(other)
@@ -106,6 +103,8 @@ class Quaternion:
             r.z = self.z * s
             return r
         return NotImplemented
+
+    __rmul__ = __mul__  # s * q for a foreign s: only a real s is taken, and it commutes
 
     def __truediv__(self, other) -> "Quaternion":
         # Quaternion/quaternion division is ambiguous (left vs right); use inverse().
@@ -157,6 +156,13 @@ class Quaternion:
 
 
 _new = object.__new__
+
+
+def _of_floats(w: float, x: float, y: float, z: float) -> Quaternion:
+    """A Quaternion of four Python floats, stored without __init__'s float() calls."""
+    r = _new(Quaternion)
+    r.w, r.x, r.y, r.z = w, x, y, z
+    return r
 
 
 ZERO = Quaternion(0.0, 0.0, 0.0, 0.0)

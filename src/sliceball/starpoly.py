@@ -11,7 +11,7 @@ from collections import namedtuple
 
 from .errors import DomainError
 from .hmat import QMat2, psi_embed
-from .quat import ONE, ZERO, Quaternion, _reject_entries
+from .quat import ONE, ZERO, Quaternion, _of_floats, _reject_entries
 
 
 _new = object.__new__
@@ -140,7 +140,8 @@ def quadratic_root_in_ball(p: StarPoly) -> RootReport:
     if p.degree == 1:
         return RootReport(points=(-(a0 * a1.inverse()),))
 
-    b, c = a1 * a2.inverse(), a0 * a2.inverse()
+    inv = a2.inverse()
+    b, c = a1 * inv, a0 * inv
     x = -0.5 * b.w
     h = c.w - x * x
     real_tol = _SPHERE_TOL * max(1.0, b.norm(), c.norm())
@@ -150,13 +151,13 @@ def quadratic_root_in_ball(p: StarPoly) -> RootReport:
         return RootReport(spheres=((x, math.sqrt(h)),))
 
     import numpy as np
-    lead = a2.conj().inverse()
+    lead = inv.conj()  # conj(a2)^-1, bit for bit
     companion = QMat2(ZERO, ONE, -(lead * a0.conj()), -(lead * a1.conj()))
     clusters: list[list[Quaternion]] = []
     for t1, t2, s1, s2 in np.linalg.eig(psi_embed(companion))[1].T.tolist():
         # The complex 4-vector (t, s) is the quaternion vector t - conj(s) j.
-        v1 = Quaternion(t1.real, t1.imag, -s1.real, s1.imag)
-        v2 = Quaternion(t2.real, t2.imag, -s2.real, s2.imag)
+        v1 = _of_floats(t1.real, t1.imag, -s1.real, s1.imag)
+        v2 = _of_floats(t2.real, t2.imag, -s2.real, s2.imag)
         z = (v2 * v1.inverse()).conj()
         for cluster in clusters:
             if (z - cluster[0]).norm() <= _MERGE_TOL * (1.0 + z.norm()):

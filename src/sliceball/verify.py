@@ -34,7 +34,7 @@ from .lie import (ISO_IDENTITY, IsoGElement, SliceFactorization,
 from .metrics import poincare_g, pullback_residual, slice_g, slice_h, symm_geodesic
 from .mobius import (classical_apply, differential, f_au, f_au_matrix,
                      mobius_M, quotient_point, regular_apply)
-from .quat import I, J, ONE, ZERO, Quaternion, sgn, slice_split
+from .quat import I, J, ONE, ZERO, Quaternion, _of_floats, sgn, slice_split
 from .starpoly import StarPoly, linear_map, quadratic_root_in_ball, reg_conj, symmetrize
 
 
@@ -88,12 +88,12 @@ def _gaussian_unit(rng, dim: int) -> list[float]:
 
 def sample_sphere3(rng) -> Quaternion:
     """Uniform point on the unit 3-sphere of quaternions."""
-    return Quaternion(*_gaussian_unit(rng, 4))
+    return _of_floats(*_gaussian_unit(rng, 4))
 
 
 def sample_imaginary_unit(rng) -> Quaternion:
     """Uniform point on the 2-sphere of imaginary units."""
-    return Quaternion(0.0, *_gaussian_unit(rng, 3))
+    return _of_floats(0.0, *_gaussian_unit(rng, 3))
 
 
 def sample_ball(rng, radius: float = 1.0) -> Quaternion:
@@ -109,7 +109,7 @@ def sample_real_interval(rng) -> Quaternion:
 
 
 def _rand_quat(rng, scale: float = 1.0) -> Quaternion:
-    return Quaternion(*(scale * rng.standard_normal(4)).tolist())
+    return _of_floats(*(scale * rng.standard_normal(4)).tolist())
 
 
 def _rand_alg(rng, scale: float) -> Sp11Algebra:
@@ -122,7 +122,8 @@ def _rand_m_dir(rng, max_norm: float) -> Quaternion:
 
 
 def _rand_sp11(rng, max_t: float) -> QMat2:
-    return diag(sample_sphere3(rng), sample_sphere3(rng)) @ exp_m(_rand_m_dir(rng, max_t))
+    return symm_compose(SymmFactorization(sample_sphere3(rng), sample_sphere3(rng),
+                                          _rand_m_dir(rng, max_t)))
 
 
 def _rand_iso(rng) -> IsoGElement:
@@ -367,7 +368,7 @@ def _newton_zero(p: StarPoly, start: Quaternion) -> Quaternion:
         if val.norm() <= 1e-12:
             return q
         step = np.linalg.solve(differential(p.eval, q, 1e-6), [val.w, val.x, val.y, val.z])
-        q = q - Quaternion(*step.tolist())
+        q = q - _of_floats(*step.tolist())
     if not p.eval(q).norm() <= 1e-10:
         raise ConsistencyError(f"Newton did not converge from {start!r}")
     return q

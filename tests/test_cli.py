@@ -198,6 +198,15 @@ def test_verify_small_run_passes(capsys, monkeypatch):
     assert "wall time" in err  # timing goes to stderr, not the report
 
 
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
+def test_verify_runs_blas_on_one_thread_unless_told(capsys, monkeypatch, preset, want):
+    # every matrix of the suite is 4x4: more BLAS threads would only cost CPU time
+    env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    monkeypatch.setattr(os, "environ", env)
+    code, _, _ = run_cli(capsys, monkeypatch, ["verify", "--suite", "orbits", "--trials", "1"])
+    assert code == 0 and env == {"OPENBLAS_NUM_THREADS": want}
+
+
 def test_verify_corrupted_tolerance_fails(capsys, monkeypatch):
     # a bound is set only in the registry; forked workers inherit the patched one
     index = verify.CHECK_NAMES.index("orbit-invariance")

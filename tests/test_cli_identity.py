@@ -49,6 +49,14 @@ def test_a_changed_digit_count_differs(tmp_path):
     assert [(d["argv"], list(d["change"])) for d in differ] == [(CASES[0][0], ["stdout"])]
 
 
+def test_commands_leave_no_bytecode_in_a_tree(tmp_path, monkeypatch):
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    shutil.copytree(ROOT / "src" / "sliceball", tmp_path / "src" / "sliceball",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert cli_identity.compare(tmp_path, tmp_path, CASES) == ([], ([], []))
+    assert not list(tmp_path.rglob("__pycache__"))
+
+
 def test_headroom_in_decades():
     assert math.isclose(cli_identity.headroom(1e-15, 1e-12, "<="), 3.0)
     assert math.isclose(cli_identity.headroom(0.5, 0.05, ">="), 1.0)

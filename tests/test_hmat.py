@@ -2,6 +2,7 @@
 complex embedding oracle."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from sliceball.hmat import (I11, IDENTITY, QMat2, Sp11Algebra, _sp11_defect,
                             algebra_check, algebra_residual, column_scaled_norm, diag,
                             exp_general, exp_m, hyperbolic, lie_bracket, off_diag,
                             psi_embed, sigma, sp11_check, sp11_inverse, sp11_residual)
-from sliceball.quat import I, J, K, ONE, ZERO, Quaternion
+from sliceball.quat import I, J, K, ONE, ZERO, Quaternion, sgn
 from sliceball.verify import sample_sphere3
 
 
@@ -196,6 +197,29 @@ finitemat = st.builds(QMat2, *[finitequat] * 4)
 @given(finitemat)
 def test_sigma_forms_equal_the_product_forms_bit_for_bit(a):
     _same_forms(a)
+
+
+# entries of one scale, where the order of a sum decides how it rounds
+unitquat = st.builds(Quaternion, *[st.floats(-2.0, 2.0)] * 4)
+
+
+@given(st.one_of(anymat, st.builds(QMat2, *[unitquat] * 4)))
+def test_sp11_defect_is_the_product_form_bit_for_bit(a):
+    # four fused entries conj(p) q + conj(r) s - delta against the matrix operators
+    assert _mbits(_sp11_defect(a)) == _mbits(a.adjoint() @ sigma(a) - IDENTITY)
+
+
+# blocks inside exp_m's domain, beside finite ones that mostly overflow it
+blockquat = st.one_of(finitequat, st.builds(Quaternion, *[st.floats(-400.0, 400.0)] * 4))
+
+
+@given(blockquat)
+def test_exp_m_is_the_sgn_form_bit_for_bit(q):
+    r = q.norm()
+    if not 0.0 < r <= math.acosh(sys.float_info.max):
+        return  # the identity and the DomainError, pinned by the examples
+    u, c, s = sgn(q), Quaternion(math.cosh(r)), math.sinh(r)
+    assert _mbits(exp_m(q)) == _mbits(QMat2(c, u.conj() * s, u * s, c))
 
 
 def test_algebra_membership():

@@ -5,6 +5,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given
+
+from test_hmat import blockquat, finitequat
+from test_quat import _bits
 
 from sliceball.errors import DomainError
 from sliceball.hmat import IDENTITY, QMat2, diag, exp_m, hyperbolic, i_eps, scalar
@@ -65,6 +69,29 @@ def test_slice_compose_examples():
     assert (slice_compose(SliceFactorization(u, Quaternion(), ONE)) - diag(u, ONE)).max_norm() == 0.0
     got = slice_compose(SliceFactorization(ONE, I * 0.3, J))
     assert (got - exp_m(I * 0.3) @ scalar(J)).max_norm() == 0.0
+
+
+def _entries_equal_with_norms_bit_for_bit(got: QMat2, want: QMat2) -> None:
+    assert got == want  # == counts -0.0 as 0.0
+    assert [_bits(e.norm()) for e in got.entries()] == [_bits(e.norm()) for e in want.entries()]
+
+
+def _finite(m: QMat2) -> bool:
+    return all(math.isfinite(c) for e in m.entries() for c in (e.w, e.x, e.y, e.z))
+
+
+@given(finitequat, finitequat, blockquat)
+def test_compose_maps_are_the_matrix_products(u, v, x):
+    # The closed forms drop the 0 * e terms that the products against the zero
+    # blocks of diag(u, v), diag(u, 1) and scalar(v) add. On finite factors such
+    # a term is a signed zero, so it can only flip the sign of a zero coordinate.
+    if not x.norm() <= 710.0:
+        return  # exp_m's DomainError
+    symm = diag(u, v) @ exp_m(x)
+    sliced = diag(u, ONE) @ exp_m(x) @ scalar(v)
+    assume(_finite(symm) and _finite(sliced))
+    _entries_equal_with_norms_bit_for_bit(symm_compose(SymmFactorization(u, v, x)), symm)
+    _entries_equal_with_norms_bit_for_bit(slice_compose(SliceFactorization(u, x, v)), sliced)
 
 
 def test_roundtrips_both_ways():

@@ -1,6 +1,7 @@
 """The paired per-check timer on two checks, one rep, a tree against itself."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -20,3 +21,14 @@ def test_pairs_two_checks_of_a_tree_with_itself():
     total = verify_ab.totals(rows)
     assert total["checks"] == 2 and total["same_values"]
     assert total["parent_min_sum_ms"] == sum(r["parent_min_ms"] for r in rows)
+
+
+def test_workers_leave_no_bytecode_in_a_tree(tmp_path, monkeypatch):
+    # a cache written by one run would spare the next runs of that tree their
+    # compilation, whatever the environment the timer starts from
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    shutil.copytree(ROOT / "src" / "sliceball", tmp_path / "src" / "sliceball",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    rows = verify_ab.pair_times(tmp_path, tmp_path, ("metrics-differ-example",), reps=1)
+    assert rows[0]["same_value"]
+    assert not list(tmp_path.rglob("__pycache__"))

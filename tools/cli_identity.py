@@ -24,7 +24,8 @@ CHANGE minus PARENT. Headroom is ``log10(tol/value)`` for ``<=`` and
 -Infinity at a null (failing) or NaN value.
 Next come a count of the checks whose headroom fell by more than FELL_DECADES
 and a last line ``{"cases": N, "differ": K}``. The exit code is 1 when K > 0.
-Takes no options; the oneshot commands need numpy.
+Takes no options; the oneshot commands need numpy. The commands run with
+PYTHONDONTWRITEBYTECODE=1, so neither tree gains a bytecode cache.
 """
 
 from __future__ import annotations
@@ -104,7 +105,8 @@ def malformed_cases() -> list[tuple[list[str], str]]:
 def run(tree: Path, argv: list[str], stdin: str) -> dict:
     proc = subprocess.run([sys.executable, "-m", "sliceball.cli", *argv], input=stdin,
                           capture_output=True, text=True, cwd=tree, timeout=TIMEOUT_S,
-                          env=dict(os.environ, PYTHONPATH=str(tree / "src")))
+                          env=dict(os.environ, PYTHONPATH=str(tree / "src"),
+                                   PYTHONDONTWRITEBYTECODE="1"))
     stderr = "".join(line for line in proc.stderr.splitlines(keepends=True)
                      if not line.startswith("wall time:"))
     return {"stdout": proc.stdout, "code": proc.returncode, "stderr": stderr}

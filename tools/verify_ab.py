@@ -11,7 +11,8 @@ count, timed with ``time.process_time`` inside the worker. One JSON line per
 check gives each side's min and median in ms and whether both sides returned
 the same value; a last line gives the sums of the minima and of the medians
 over the checks and their relative changes. Takes no options. Standard
-library only; the workers import numpy, as verify does.
+library only; the workers import numpy, as verify does, and run with
+PYTHONDONTWRITEBYTECODE=1.
 """
 
 from __future__ import annotations
@@ -42,10 +43,12 @@ for line in sys.stdin:
 
 
 class Worker:
-    """One interpreter with PYTHONPATH set to a tree's src."""
+    """One interpreter with PYTHONPATH set to a tree's src. It writes no
+    bytecode: a cache left in one tree would spare later runs of that tree
+    their compilation, and bias every comparison after it."""
 
     def __init__(self, tree: Path):
-        env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
         self.proc = subprocess.Popen([sys.executable, "-c", _WORKER], cwd=tree, env=env,
                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
         self.names = tuple(self._reply())
