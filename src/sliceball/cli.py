@@ -78,29 +78,28 @@ def _emit(payload: dict, fmt: str, human_lines: list[str]) -> None:
 # check
 
 def cmd_check(args) -> int:
-    from .hmat import algebra_check, sp11_check, sp11_residual
+    from .hmat import algebra_check, sp11_check
     mat = _mat_from_list(_parse_json(sys.stdin.read()))
     what = args.what
-    if what == "sp11":
-        ok, residual = sp11_check(mat)
-    elif what == "algebra":
+    if what == "algebra":
         ok, residual = algebra_check(mat)
     elif what.startswith("centralizer:"):
         from .lie import centralizer_check
         ok, residual = centralizer_check(mat, what.split(":", 1)[1])
-    else:  # o11; argparse admits no other choice
-        from .mobius import o11_classify
-        residual = sp11_residual(mat)
-        try:
-            parts = o11_classify(mat)
-        except DomainError:
-            ok = False
-        else:
-            payload = {"pass": True, "residual": residual, "eps": parts.eps,
-                       "reflected": parts.reflected, "t": parts.t}
-            _emit(payload, args.format,
-                  [f"PASS o11 eps={parts.eps} reflected={parts.reflected} t={_fmt(parts.t)}"])
-            return EXIT_OK
+    else:  # sp11 or o11; argparse admits no other choice
+        ok, residual = sp11_check(mat)
+        if what == "o11":
+            from .lie import o11_classify
+            try:
+                parts = o11_classify(mat)
+            except DomainError:
+                ok = False
+            else:
+                payload = {"pass": True, "residual": residual, "eps": parts.eps,
+                           "reflected": parts.reflected, "t": parts.t}
+                _emit(payload, args.format,
+                      [f"PASS o11 eps={parts.eps} reflected={parts.reflected} t={_fmt(parts.t)}"])
+                return EXIT_OK
     _emit({"pass": ok, "residual": residual}, args.format,
           [f"{'PASS' if ok else 'FAIL'} {what} residual={_fmt(residual)}"])
     return EXIT_OK if ok else EXIT_FAIL
@@ -172,7 +171,7 @@ def cmd_verify(args) -> int:
     for r in results:
         if r.error is not None:
             print(f"error in {r.name}: {r.error}", file=sys.stderr)
-    checks = sum(r.seconds for r in results)  # exceeds the wall time once checks overlap
+    checks = sum(r.seconds for r in results)  # CPU time: exceeds the wall time once checks overlap
     print(f"wall time: {wall:.3f} s, check time: {checks:.3f} s", file=sys.stderr)
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
 

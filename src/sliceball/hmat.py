@@ -198,14 +198,9 @@ def _conj_mul_add(p: Quaternion, q: Quaternion, r: Quaternion, s: Quaternion,
     return out
 
 
-def sp11_residual(a: QMat2) -> float:
-    """Max-norm of adjoint(A) sigma(A) - I."""
-    return _sp11_defect(a).max_norm()
-
-
 def sp11_check(a: QMat2) -> tuple[bool, float]:
     """Membership under the column-scaled rule of ensure_sp11, paired with the
-    absolute residual sp11_residual(a)."""
+    absolute residual: the max-norm of adjoint(A) sigma(A) - I."""
     d = _sp11_defect(a)
     return column_scaled_norm(d, a) <= GROUP_TOL, d.max_norm()
 
@@ -266,7 +261,8 @@ class Sp11Algebra:
         self.p = p
         self.q = q
         self.a = a
-        if not (abs(self.p.w) <= ALGEBRA_TOL and abs(self.q.w) <= ALGEBRA_TOL):  # NaN fails
+        # algebra_check's rule: 2 Re p, 2 Re q are the diagonal of adjoint(X) + sigma(X)
+        if not (abs(2.0 * p.w) <= ALGEBRA_TOL and abs(2.0 * q.w) <= ALGEBRA_TOL):  # NaN fails
             raise DomainError("diagonal parts of an algebra element must be imaginary")
 
     def __repr__(self) -> str:
@@ -281,12 +277,9 @@ def off_diag(a: Quaternion) -> Sp11Algebra:
     return Sp11Algebra(ZERO, ZERO, a)
 
 
-def algebra_residual(x: QMat2) -> float:
-    return (x.adjoint() + sigma(x)).max_norm()
-
-
 def algebra_check(x: QMat2) -> tuple[bool, float]:
-    r = algebra_residual(x)
+    """Membership with its residual: the max-norm of adjoint(X) + sigma(X)."""
+    r = (x.adjoint() + sigma(x)).max_norm()
     return r <= ALGEBRA_TOL, r
 
 

@@ -1,5 +1,6 @@
 """Global decompositions of the group, the slice-metric isometry group with its
-semidirect composition law, centralizer predicates, and the orbit invariant.
+semidirect composition law, centralizer predicates, the coset classification of
+real group elements, and the orbit invariant.
 """
 
 from __future__ import annotations
@@ -147,6 +148,27 @@ def centralizer_check(a: QMat2, subgroup: str) -> tuple[bool, float]:
         raise DomainError(f"unknown subgroup {subgroup!r}; expected one of {CENTRALIZER_SUBGROUPS}")
     r = nan_max([((a @ p) - (p @ a)).max_norm() for p in _PROBES[subgroup]])
     return r <= CENTRALIZER_TOL, r
+
+
+class O11Parts(namedtuple("O11Parts", "eps reflected t")):
+    """A = eps * H(t), times diag(1, -1) on the right when reflected."""
+
+    __slots__ = ()
+
+
+def o11_classify(a: QMat2) -> O11Parts:
+    """Factor a real group matrix as eps * H(t) * r with r in {identity, diag(1,-1)};
+    the real matrices are the centralizer of Sp(1) I2, so "sp1I2" decides realness."""
+    if not centralizer_check(a, "sp1I2")[0]:
+        raise DomainError("matrix has non-real entries")
+    ensure_sp11(a)
+    a11, _, a21, a22 = (m.w for m in a.entries())
+    # eps * H(t) has a11 and a22 of one sign, and diag(1, -1) on the right flips
+    # a22. Signs and asinh stay exact at any t, whereas det(A) and
+    # atanh(a21 / a11) have lost every digit by t = 20.
+    eps = 1 if a11 > 0.0 else -1
+    reflected = (a22 > 0.0) != (a11 > 0.0)
+    return O11Parts(eps, reflected, math.asinh(eps * a21))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,15 @@
-"""Classical and regular Mobius transformations of the unit ball, the special
-matrices M(a), H(t), I(eps), the double-coset quotient map, numerical
-differentials, and the coset classification of real group elements.
+"""Classical and regular Mobius transformations of the unit ball, the centering
+matrices M(a), the maps f_au that are classical and regular at once, the
+double-coset quotient map, and numerical differentials.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from typing import Callable
 
 from .errors import ConsistencyError, DomainError
-from .hmat import QMat2, diag, ensure_sp11, sp11_check
+from .hmat import QMat2, diag, ensure_sp11
 from .quat import ONE, Quaternion, _of_floats, ensure_in_ball
 
 # Default central-difference step: balances O(h^2) truncation against cancellation.
@@ -97,24 +96,3 @@ def differential(fn: Callable[[Quaternion], Quaternion], q: Quaternion,
     return np.array([[d.w for d in cols], [d.x for d in cols],
                      [d.y for d in cols], [d.z for d in cols]])
 
-
-class O11Parts(namedtuple("O11Parts", "eps reflected t")):
-    """A = eps * H(t), times diag(1, -1) on the right when reflected."""
-
-    __slots__ = ()
-
-
-def o11_classify(a: QMat2) -> O11Parts:
-    """Factor a real group matrix as eps * H(t) * r with r in {identity, diag(1,-1)}."""
-    for m in a.entries():
-        if m.im_norm() > 1e-12:
-            raise DomainError("matrix has non-real entries")
-    if not sp11_check(a)[0]:
-        raise DomainError("real matrix does not preserve the signature-(1,1) form")
-    a11, _, a21, a22 = (m.w for m in a.entries())
-    # eps * H(t) has a11 and a22 of one sign, and diag(1, -1) on the right flips
-    # a22. Signs and asinh stay exact at any t, whereas det(A) and
-    # atanh(a21 / a11) have lost every digit by t = 20.
-    eps = 1 if a11 > 0.0 else -1
-    reflected = (a22 > 0.0) != (a11 > 0.0)
-    return O11Parts(eps, reflected, math.asinh(eps * a21))

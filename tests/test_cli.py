@@ -328,7 +328,7 @@ _MAT = mat_to_list(hyperbolic(0.5))
     (None, None, set()),
     (["check", "--what", "sp11"], _MAT,
      {"sliceball.lie", "sliceball.metrics", "sliceball.mobius"}),
-    (["check", "--what", "o11"], _MAT, {"sliceball.lie", "sliceball.metrics"}),
+    (["check", "--what", "o11"], _MAT, {"sliceball.metrics", "sliceball.mobius"}),
     (["check", "--what", "centralizer:sp1I2"], _MAT,
      {"sliceball.metrics", "sliceball.mobius"}),
     (["mobius", "--kind", "regular"], {"matrix": _MAT, "point": [0.1, 0.2, 0, 0]},
@@ -467,6 +467,43 @@ def test_check_o11_reports_the_group_residual(capsys, monkeypatch):
         reports[what] = json.loads(out)
     assert reports["o11"]["t"] == 12.0
     assert reports["o11"]["residual"] == reports["sp11"]["residual"] > 1e-7
+
+
+def _nearly_real(a, entry: str, part: str, size: float) -> str:
+    """The matrix a as JSON, with size added to one imaginary part of one entry."""
+    mat = mat_to_list(a)
+    mat[int(entry[0]) - 1][int(entry[1]) - 1]["wxyz".index(part)] += size
+    return json.dumps(mat)
+
+
+def _check_passes(what: str, stdin: str) -> bool:
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), redirect_stdout(out), redirect_stderr(err):
+        code = main(["check", "--what", what])
+    assert code in (0, 1), err.getvalue()
+    return code == 0
+
+
+def test_check_o11_decides_realness_by_the_centralizer_rule():
+    # 6e-13 on the i part of m11 passed the old im_norm test of o11, while its
+    # commutator with J I2 is 1.2e-12, past the centralizer tolerance
+    stdin = _nearly_real(hyperbolic(0.5), "11", "x", 6e-13)
+    assert _check_passes("sp11", stdin)
+    assert not _check_passes("centralizer:sp1I2", stdin)
+    assert not _check_passes("o11", stdin)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=st.floats(-3.0, 3.0), eps=st.sampled_from([1.0, -1.0]), reflected=st.booleans(),
+       entry=st.sampled_from(["11", "12", "21", "22"]), part=st.sampled_from("xyz"),
+       size=st.floats(0.0, 2e-12))
+def test_check_o11_passes_iff_sp1I2_and_sp11_pass(t, eps, reflected, entry, part, size):
+    a = hyperbolic(t) * eps
+    if reflected:
+        a = a @ I11
+    stdin = _nearly_real(a, entry, part, size)
+    assert _check_passes("o11", stdin) == (_check_passes("centralizer:sp1I2", stdin)
+                                           and _check_passes("sp11", stdin))
 
 
 @pytest.mark.parametrize("r", [4.0, 7.5])

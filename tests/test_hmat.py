@@ -12,10 +12,10 @@ from hypothesis import given, strategies as st
 from test_quat import _bits, anyfloat, anyquat
 from sliceball import verify
 from sliceball.errors import DomainError
-from sliceball.hmat import (I11, IDENTITY, QMat2, Sp11Algebra, _sp11_defect,
-                            algebra_check, algebra_residual, column_scaled_norm, diag,
-                            exp_general, exp_m, hyperbolic, lie_bracket, off_diag,
-                            psi_embed, sigma, sp11_check, sp11_inverse, sp11_residual)
+from sliceball.hmat import (ALGEBRA_TOL, I11, IDENTITY, QMat2, Sp11Algebra, _sp11_defect,
+                            algebra_check, column_scaled_norm, diag, exp_general, exp_m,
+                            hyperbolic, lie_bracket, off_diag, psi_embed, sigma, sp11_check,
+                            sp11_inverse)
 from sliceball.quat import I, J, K, ONE, ZERO, Quaternion, sgn
 from sliceball.verify import sample_sphere3
 
@@ -176,10 +176,10 @@ def _product_algebra_residual(x: QMat2) -> float:
 
 
 def _same_forms(a: QMat2) -> None:
-    assert _bits(sp11_residual(a)) == _bits(_product_defect(a).max_norm())
+    assert _bits(sp11_check(a)[1]) == _bits(_product_defect(a).max_norm())
     assert _bits(column_scaled_norm(_sp11_defect(a), a)) == _bits(
         column_scaled_norm(_product_defect(a), a))
-    assert _bits(algebra_residual(a)) == _bits(_product_algebra_residual(a))
+    assert _bits(algebra_check(a)[1]) == _bits(_product_algebra_residual(a))
 
 
 def test_sigma_forms_equal_the_product_forms_on_the_group():
@@ -232,6 +232,33 @@ def test_algebra_membership():
             Sp11Algebra(p, q, Quaternion(0.1))
 
 
+# real parts on both sides of the edge |2 Re p| = ALGEBRA_TOL, with arbitrary finite rest
+edgereal = st.one_of(st.floats(0.45 * ALGEBRA_TOL, 0.55 * ALGEBRA_TOL),
+                     st.floats(-0.55 * ALGEBRA_TOL, -0.45 * ALGEBRA_TOL),
+                     st.sampled_from([0.5 * ALGEBRA_TOL, -0.5 * ALGEBRA_TOL]))
+finitefloat = st.floats(allow_nan=False, allow_infinity=False)
+edgequat = st.builds(Quaternion, edgereal, finitefloat, finitefloat, finitefloat)
+
+
+@given(st.one_of(edgequat, finitequat), st.one_of(edgequat, finitequat), finitequat)
+def test_algebra_constructs_iff_algebra_check_passes(p, q, a):
+    x = QMat2(p, a.conj(), a, q)
+    try:
+        Sp11Algebra(p, q, a)
+    except DomainError:
+        assert not algebra_check(x)[0]
+    else:
+        assert algebra_check(x)[0]
+
+
+def test_algebra_check_decides_a_nearly_imaginary_diagonal():
+    # 2 Re p = 1.4e-12 fails algebra_check, so the part is refused at construction
+    p, q, a = Quaternion(0.7e-12, 1, 0, 0), J, Quaternion(0.3, 0.1, 0, 0)
+    assert algebra_check(QMat2(p, a.conj(), a, q)) == (False, 1.4e-12)
+    with pytest.raises(DomainError):
+        Sp11Algebra(p, q, a)
+
+
 def test_bracket_examples():
     x = diag_alg(I, Quaternion())
     assert lie_bracket(x, x).as_matrix().max_norm() == 0.0
@@ -241,7 +268,7 @@ def test_bracket_examples():
     # off-diagonal with off-diagonal lands in the diagonal part
     m = lie_bracket(off_diag(ONE), off_diag(I))
     assert m.a == Quaternion()
-    assert algebra_residual(m.as_matrix()) <= 1e-15
+    assert algebra_check(m.as_matrix())[1] <= 1e-15
 
 
 def test_exp_m_examples():

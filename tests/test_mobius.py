@@ -10,8 +10,9 @@ import pytest
 
 from sliceball.errors import ConsistencyError, DomainError
 from sliceball.hmat import I11, IDENTITY, QMat2, diag, exp_m, hyperbolic, sp11_inverse
+from sliceball.lie import o11_classify
 from sliceball.mobius import (classical_apply, differential, f_au, f_au_matrix,
-                              mobius_M, o11_classify, quotient_point, regular_apply)
+                              mobius_M, quotient_point, regular_apply)
 from sliceball.quat import I, ONE, ZERO, Quaternion, sgn
 from sliceball.starpoly import linear_map, reg_conj, symmetrize
 from sliceball.verify import _orientation_sign, sample_ball, sample_sphere3

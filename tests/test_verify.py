@@ -2,6 +2,7 @@
 
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -289,6 +290,22 @@ def test_a_check_that_yields_nothing_fails(op, failing):
     empty = verify.CheckDef("empty", "orbits", lambda rng, trials: iter(()), 10, 1.0, op)
     result = verify.run_check(empty, 1, 0)
     assert not result.passed and result.value == failing
+
+
+def test_a_check_reports_its_cpu_time():
+    # 50 ms asleep cost no CPU; a wall clock would report them
+    def sleeps(rng, trials):
+        time.sleep(0.05)
+        yield 0.0
+
+    result = verify.run_check(verify.CheckDef("sleeps", "orbits", sleeps, 1, 1.0), 1, 0)
+    assert result.passed and 0.0 <= result.seconds < 0.025
+
+
+@pytest.mark.parametrize("trials", [3, 15, 100])
+def test_orbit_invariance_makes_one_comparison_per_trial(trials):
+    rng = np.random.default_rng([1, 0])
+    assert sum(1 for _ in verify.check_orbit_invariance(rng, trials)) == trials
 
 
 # The worker pool: the same results as one check at a time, in registry order.

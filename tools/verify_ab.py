@@ -7,7 +7,7 @@ src/sliceball. One long-lived interpreter per tree imports its
 ``sliceball.verify`` once; the trees then take turns check by check, the
 first side alternating, so both halves of a pair run under the same load.
 Every check runs REPS times per tree with seed SEED and its registered trial
-count, timed with ``time.process_time`` inside the worker. One JSON line per
+count, timed by the CPU seconds that ``run_check`` reports. One JSON line per
 check gives each side's min and median in ms and whether both sides returned
 the same value; a last line gives the sums of the minima and of the medians
 over the checks and their relative changes. Takes no options. Standard
@@ -31,14 +31,13 @@ SIDES = ("parent", "change")
 # Runs in each worker: announce the registry, then answer "index seed" lines
 # with the check's CPU seconds and the repr of its value.
 _WORKER = """
-import json, sys, time
+import json, sys
 from sliceball import verify
 print(json.dumps(verify.CHECK_NAMES), flush=True)
 for line in sys.stdin:
     index, seed = map(int, line.split())
-    start = time.process_time()
     result = verify.run_check(verify.CHECKS[index], seed, index)
-    print(json.dumps([time.process_time() - start, repr(result.value)]), flush=True)
+    print(json.dumps([result.seconds, repr(result.value)]), flush=True)
 """
 
 
