@@ -62,7 +62,7 @@ def _parse_json(text: str) -> object:
         raise ValueError("JSON input is nested too deeply") from exc
 
 
-def _emit(payload: dict, fmt: str, human_lines: list[str]) -> None:
+def _emit(payload: dict | list, fmt: str, human_lines: list[str]) -> None:
     if fmt == "json":
         try:
             text = json.dumps(payload, sort_keys=True, allow_nan=False)
@@ -155,19 +155,14 @@ def cmd_verify(args) -> int:
     start = time.perf_counter()
     results = verify.run_checks(args.suite, seed=args.seed, trials=args.trials)
     wall = time.perf_counter() - start
-    if args.format == "json":  # JSON has no infinity: a failing check reads null
-        print(json.dumps([{"name": r.name, "suite": r.suite,
-                           "value": r.value if math.isfinite(r.value) else None,
-                           "tol": r.tol, "op": r.op, "trials": r.trials,
-                           "pass": r.passed} for r in results], sort_keys=True, allow_nan=False))
-    else:
-        width = max(len(r.name) for r in results)
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            print(f"{status}  {r.name:<{width}}  value={_fmt(r.value)} "
-                  f"{r.op} tol={_fmt(r.tol)}  trials={r.trials}")
-        done = sum(r.passed for r in results)
-        print(f"{done}/{len(results)} checks passed")
+    width = max(len(r.name) for r in results)
+    human = [f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  value={_fmt(r.value)} "
+             f"{r.op} tol={_fmt(r.tol)}  trials={r.trials}" for r in results]
+    human.append(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
+    # JSON has no infinity: a failing check reads null
+    _emit([{"name": r.name, "suite": r.suite, "value": r.value if math.isfinite(r.value) else None,
+            "tol": r.tol, "op": r.op, "trials": r.trials, "pass": r.passed} for r in results],
+          args.format, human)
     for r in results:
         if r.error is not None:
             print(f"error in {r.name}: {r.error}", file=sys.stderr)

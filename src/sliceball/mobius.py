@@ -79,20 +79,16 @@ def quotient_point(a: QMat2) -> Quaternion:
 
 
 def differential(fn: Callable[[Quaternion], Quaternion], q: Quaternion,
-                 h: float = FD_STEP) -> np.ndarray:
-    """Central-difference Jacobian of a ball map in (w, x, y, z) coordinates."""
-    import numpy as np
+                 h: float = FD_STEP) -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
+    """Central-difference pushes of 1, i, j, k through a ball map at q: the four
+    columns of its Jacobian in (w, x, y, z) coordinates, as quaternions."""
     coords = [q.w, q.x, q.y, q.z]
     if h <= 0.0 or any(c + h == c for c in coords):
         raise DomainError(f"finite-difference step {h!r} underflows at {q!r}")
     cols = []
     for col in range(4):
-        plus = list(coords)
-        minus = list(coords)
+        plus, minus = list(coords), list(coords)
         plus[col] += h
         minus[col] -= h
         cols.append((fn(_of_floats(*plus)) - fn(_of_floats(*minus))) / (2.0 * h))
-    # one C-contiguous array, row by row, so that jac @ v sums as it always has
-    return np.array([[d.w for d in cols], [d.x for d in cols],
-                     [d.y for d in cols], [d.z for d in cols]])
-
+    return tuple(cols)

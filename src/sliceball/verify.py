@@ -367,7 +367,8 @@ def _newton_zero(p: StarPoly, start: Quaternion) -> Quaternion:
         val = p.eval(q)
         if val.norm() <= 1e-12:
             return q
-        step = np.linalg.solve(differential(p.eval, q, 1e-6), [val.w, val.x, val.y, val.z])
+        jac = np.array([[c.w, c.x, c.y, c.z] for c in differential(p.eval, q, 1e-6)]).T
+        step = np.linalg.solve(jac, [val.w, val.x, val.y, val.z])
         q = q - _of_floats(*step.tolist())
     if not p.eval(q).norm() <= 1e-10:
         raise ConsistencyError(f"Newton did not converge from {start!r}")
@@ -560,7 +561,8 @@ def check_iso_isometry(rng, trials: int) -> Residuals:
 
 def _orientation_sign(fn, q: Quaternion) -> float:
     """Sign of the Jacobian determinant of the ball map fn at q."""
-    return float(np.sign(np.linalg.det(differential(fn, q))))
+    jac = np.array([[c.w, c.x, c.y, c.z] for c in differential(fn, q)]).T
+    return float(np.sign(np.linalg.det(jac)))
 
 
 def check_iso_orientation(rng, trials: int) -> Residuals:

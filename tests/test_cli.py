@@ -391,8 +391,7 @@ def _imports_numpy(node):
 def test_numpy_is_imported_only_where_the_readme_lists_it():
     # the cold-start paragraph of the README names each of these
     assert _package_sites(_imports_numpy) == {
-        ("verify", "<module>"), ("hmat", "psi_embed"), ("mobius", "differential"),
-        ("starpoly", "quadratic_root_in_ball")}
+        ("verify", "<module>"), ("hmat", "psi_embed"), ("starpoly", "quadratic_root_in_ball")}
 
 
 def test_no_constructor_promotes_a_real():

@@ -208,7 +208,8 @@ def test_iso_orientation():
     for eps2, sign in ((1, 1.0), (-1, -1.0)):
         e = IsoGElement(sample_sphere3(rng), -1, 0.6, eps2)
         q = sample_ball(rng, 0.5)
-        det = np.linalg.det(differential(lambda p: iso_g_act(e, p), q))
+        cols = differential(lambda p: iso_g_act(e, p), q)
+        det = np.linalg.det(np.array([[c.w, c.x, c.y, c.z] for c in cols]).T)
         assert math.copysign(1.0, det) == sign
 
 

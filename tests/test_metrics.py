@@ -1,7 +1,12 @@
 """Both metrics, the Hermitian form, pullback residuals, geodesics and tables."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +155,35 @@ def test_pullback_identity_map():
     q = sample_ball(rng, 0.5)
     assert pullback_residual(lambda p: p, slice_g, q, rng) <= 1e-9
     assert pullback_residual(lambda p: p, poincare_g, q, rng) <= 1e-9
+
+
+def test_pullback_runs_without_numpy():
+    # differential and pullback_residual work on quaternions alone; the rng is
+    # any object whose standard_normal(8) offers tolist()
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = textwrap.dedent("""
+        import sys
+        sys.modules["numpy"] = None  # any numpy import now raises ImportError
+        from sliceball.metrics import pullback_residual, slice_g
+        from sliceball.mobius import differential
+        from sliceball.quat import Quaternion
+
+        class Draws(list):
+            def tolist(self):
+                return list(self)
+
+        class Rng:
+            def standard_normal(self, n):
+                return Draws([0.3, -0.1, 0.7, 0.2, -0.5, 0.4, 0.1, 0.9][:n])
+
+        q = Quaternion(0.1, 0.2, 0.3, -0.1)
+        cols = differential(lambda p: p * p, q)
+        assert len(cols) == 4 and all(type(c) is Quaternion for c in cols)
+        assert pullback_residual(lambda p: p, slice_g, q, Rng()) <= 1e-9
+        """)
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_pullback_residual_keeps_a_nan():

@@ -13,7 +13,7 @@ from sliceball.hmat import I11, IDENTITY, QMat2, diag, exp_m, hyperbolic, sp11_i
 from sliceball.lie import o11_classify
 from sliceball.mobius import (classical_apply, differential, f_au, f_au_matrix,
                               mobius_M, quotient_point, regular_apply)
-from sliceball.quat import I, ONE, ZERO, Quaternion, sgn
+from sliceball.quat import I, J, K, ONE, ZERO, Quaternion, sgn
 from sliceball.starpoly import linear_map, reg_conj, symmetrize
 from sliceball.verify import _orientation_sign, sample_ball, sample_sphere3
 
@@ -144,22 +144,27 @@ def test_quotient_point_rejects_non_members():
         quotient_point(diag(ONE, Quaternion(2.0)))
 
 
+def _max_gap(cols, want) -> float:
+    return max((c - w).norm() for c, w in zip(cols, want, strict=True))
+
+
 def test_differential_examples():
     q = Quaternion(0.1, 0.2, 0.3, -0.1)
-    assert np.abs(differential(lambda p: p, q) - np.eye(4)).max() <= 1e-9
-    neg = differential(lambda p: -p, q)
-    assert np.abs(neg + np.eye(4)).max() <= 1e-9
-    assert np.linalg.det(neg) > 0
-    conj = differential(lambda p: p.conj(), q)
-    assert np.abs(conj - np.diag([1.0, -1.0, -1.0, -1.0])).max() <= 1e-9
+    assert _max_gap(differential(lambda p: p, q), (ONE, I, J, K)) <= 1e-9
+    assert _max_gap(differential(lambda p: -p, q), (-ONE, -I, -J, -K)) <= 1e-9
+    assert _orientation_sign(lambda p: -p, q) == 1.0
+    assert _max_gap(differential(lambda p: p.conj(), q), (ONE, -I, -J, -K)) <= 1e-9
     assert _orientation_sign(lambda p: p.conj(), q) == -1.0
 
 
-def test_differential_is_c_contiguous():
-    # the pullback checks multiply it into tangent vectors, and the layout
-    # decides how that product rounds
-    jac = differential(lambda p: p * p, Quaternion(0.1, 0.2, 0.3, -0.1))
-    assert jac.flags["C_CONTIGUOUS"] and jac.shape == (4, 4)
+def test_differential_pushes_the_basis():
+    # p -> p a is linear, so its columns are the pushes a, i a, j a, k a
+    rng = np.random.default_rng(30)
+    for _ in range(20):
+        a, q = Quaternion(*rng.standard_normal(4)), sample_ball(rng, 0.9)
+        cols = differential(lambda p: p * a, q)
+        assert all(type(c) is Quaternion for c in cols)
+        assert _max_gap(cols, (a, I * a, J * a, K * a)) <= 1e-9
 
 
 def test_differential_step_underflow():

@@ -13,6 +13,13 @@ the same value; a last line gives the sums of the minima and of the medians
 over the checks and their relative changes. Takes no options. Standard
 library only; the workers import numpy, as verify does, and run with
 PYTHONDONTWRITEBYTECODE=1.
+
+The warm per-check minima do not predict ``sliceball verify``, which runs
+each check once, cold, in a forked worker after interpreter, numpy and pool
+start-up: on a 2-core x86_64 box, a change whose minima fell by 9.5-12.0%
+cut the ``verify-suite`` ``cpu_s`` of ``bench/run.py`` by 8.2%. Use this
+tool to see which checks a change moves; an end-to-end speed claim rests on
+paired ``bench/run.py`` runs.
 """
 
 from __future__ import annotations
