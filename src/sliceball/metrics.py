@@ -13,7 +13,6 @@ import math
 from typing import Callable
 
 from .errors import DomainError
-from .hmat import nan_max
 from .mobius import differential
 from .quat import ONE, Quaternion, _of_floats, ensure_in_ball, ensure_unit
 
@@ -70,23 +69,22 @@ def slice_g(q: Quaternion, alpha: Quaternion, beta: Quaternion) -> float:
 
 
 def pullback_residual(fn: Callable[[Quaternion], Quaternion], metric: MetricFn,
-                      q: Quaternion, rng, trials: int = 8) -> float:
-    """Max over tangent pairs drawn from rng of
-    |metric_q(alpha, beta) - metric_{fn(q)}(dfn alpha, dfn beta)|; NaN if any
-    difference is NaN or no pair was drawn. A trial reads both tangents from one
-    rng.standard_normal(8); dfn weights the columns of differential(fn, q), the
+                      q: Quaternion, rng, trials: int = 8) -> list[float]:
+    """The defect |metric_q(alpha, beta) - metric_{fn(q)}(dfn alpha, dfn beta)| of each
+    tangent pair drawn from rng, one per trial, unreduced. A trial reads both tangents
+    from one rng.standard_normal(8); dfn weights the columns of differential(fn, q), the
     pushes of 1, i, j, k, by a tangent's coordinates. Raises DomainError, as every
     metric call does, when the metric rejects the image fn(q) (a NaN, or off the ball)."""
     c0, c1, c2, c3 = differential(fn, q)
     image = fn(q)
-    diffs = []
+    defects = []
     for _ in range(trials):
         v = rng.standard_normal(8).tolist()  # the stream of two standard_normal(4) draws
         alpha, beta = _of_floats(*v[:4]), _of_floats(*v[4:])
         # summed in the order numpy's jac @ v summed on a row-major 4x4 Jacobian
         da, db = ((c0 * t.w + c2 * t.y) + (c1 * t.x + c3 * t.z) for t in (alpha, beta))
-        diffs.append(abs(metric(q, alpha, beta) - metric(image, da, db)))
-    return nan_max(diffs)
+        defects.append(abs(metric(q, alpha, beta) - metric(image, da, db)))
+    return defects
 
 
 def symm_geodesic(u: Quaternion, a: Quaternion, t: float) -> Quaternion:

@@ -427,8 +427,8 @@ def check_coincidence_real(rng, trials: int) -> Residuals:
         u = sample_sphere3(rng)
         q = sample_ball(rng, 0.8)
         mat = f_au_matrix(a, u)
-        yield from ((classical_apply(mat, q) - regular_apply(mat, q)).norm(),
-                    (classical_apply(mat, q) - f_au(a, u, q)).norm())
+        image = classical_apply(mat, q)
+        yield from ((image - regular_apply(mat, q)).norm(), (image - f_au(a, u, q)).norm())
 
 
 def check_noncoincidence_nonreal(rng, trials: int) -> Residuals:
@@ -480,7 +480,7 @@ def check_poincare_invariance(rng, trials: int) -> Residuals:
     for _ in range(trials):
         a = _rand_sp11(rng, 0.8)
         q = sample_ball(rng, 0.6)
-        yield pullback_residual(lambda p: classical_apply(a, p), poincare_g, q, rng, trials=6)
+        yield from pullback_residual(lambda p: classical_apply(a, p), poincare_g, q, rng, trials=6)
 
 
 def check_geodesic_reversal(rng, trials: int) -> Residuals:
@@ -495,7 +495,7 @@ def check_slice_conjugation_invariance(rng, trials: int) -> Residuals:
     for _ in range(trials):
         u = sample_sphere3(rng)
         q = sample_ball(rng, 0.6)
-        yield pullback_residual(lambda p: u.conj() * p * u, slice_g, q, rng, trials=6)
+        yield from pullback_residual(lambda p: u.conj() * p * u, slice_g, q, rng, trials=6)
 
 
 def check_slice_hyperbolicity(rng, trials: int) -> Residuals:
@@ -528,7 +528,7 @@ def check_regular_pullback(rng, trials: int) -> Residuals:
     for _ in range(trials):
         q = sample_ball(rng, 0.7)
         mat = mobius_M(q)
-        yield pullback_residual(lambda p: regular_apply(mat, p), slice_g, q, rng, trials=10)
+        yield from pullback_residual(lambda p: regular_apply(mat, p), slice_g, q, rng, trials=10)
 
 
 def check_slice_positive_definite(rng, trials: int) -> Residuals:
@@ -556,7 +556,7 @@ def check_iso_isometry(rng, trials: int) -> Residuals:
         # Force both branches of the final sign to appear.
         e = IsoGElement(e.u, e.eps1, e.t, 1 if k % 2 == 0 else -1)
         q = sample_ball(rng, 0.6)
-        yield pullback_residual(lambda p: iso_g_act(e, p), slice_g, q, rng, trials=6)
+        yield from pullback_residual(lambda p: iso_g_act(e, p), slice_g, q, rng, trials=6)
 
 
 def _orientation_sign(fn, q: Quaternion) -> float:
@@ -566,15 +566,11 @@ def _orientation_sign(fn, q: Quaternion) -> float:
 
 
 def check_iso_orientation(rng, trials: int) -> Residuals:
-    violations = 0
     for k in range(trials):
         e = _rand_iso(rng)
         e = IsoGElement(e.u, e.eps1, e.t, 1 if k % 2 == 0 else -1)
         q = sample_ball(rng, 0.6)
-        sign = _orientation_sign(lambda p: iso_g_act(e, p), q)
-        if sign != float(e.eps2):
-            violations += 1
-    yield float(violations)
+        yield abs(_orientation_sign(lambda p: iso_g_act(e, p), q) - e.eps2)
 
 
 def check_iso_ineffective_kernel(rng, trials: int) -> Residuals:
@@ -605,39 +601,35 @@ def check_iso_from_translations(rng, trials: int) -> Residuals:
         yield (quotient_point(moved) - expected).norm()
 
 
+def _membership_violation(a: QMat2, subgroup: str, member: bool) -> float:
+    """1.0 when centralizer_check decides a's membership against `member`, else 0.0;
+    NaN when its commutator residual is NaN."""
+    inside, residual = centralizer_check(a, subgroup)
+    return math.nan if math.isnan(residual) else float(inside != member)
+
+
 def check_centralizer_members(rng, trials: int) -> Residuals:
-    violations = 0
     for _ in range(trials):
         eps = 1.0 if rng.random() < 0.5 else -1.0
-        member = diag(Quaternion(eps), sample_sphere3(rng))
-        if not centralizer_check(member, "sp1x1")[0]:
-            violations += 1
+        yield _membership_violation(diag(Quaternion(eps), sample_sphere3(rng)), "sp1x1", True)
         t = 2.4 * float(rng.random()) - 1.2
         sign = 1.0 if rng.random() < 0.5 else -1.0
         real_member = (hyperbolic(t) @ i_eps(1 if rng.random() < 0.5 else -1)) * sign
-        if not centralizer_check(real_member, "sp1I2")[0]:
-            violations += 1
+        yield _membership_violation(real_member, "sp1I2", True)
         pm = IDENTITY * (1.0 if rng.random() < 0.5 else -1.0)
-        if not centralizer_check(pm, "sp1xsp1")[0]:
-            violations += 1
-    yield float(violations)
+        yield _membership_violation(pm, "sp1xsp1", True)
 
 
 def check_centralizer_outsiders(rng, trials: int) -> Residuals:
-    violations = 0
     for _ in range(trials):
         generic = _rand_sp11(rng, 1.0)
-        if centralizer_check(generic, "sp1I2")[0] or centralizer_check(generic, "sp1x1")[0]:
-            violations += 1
+        yield from (_membership_violation(generic, "sp1I2", False),
+                    _membership_violation(generic, "sp1x1", False))
         u = sample_sphere3(rng)
         while u.im_norm() < 0.1:
             u = sample_sphere3(rng)
-        block = diag(u, sample_sphere3(rng))
-        if centralizer_check(block, "sp1x1")[0]:
-            violations += 1
-        if centralizer_check(diag(u, u), "sp1xsp1")[0]:
-            violations += 1
-    yield float(violations)
+        yield from (_membership_violation(diag(u, sample_sphere3(rng)), "sp1x1", False),
+                    _membership_violation(diag(u, u), "sp1xsp1", False))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from sliceball import hmat, lie, metrics, mobius, verify
+from sliceball import SUITES, hmat, lie, metrics, mobius, verify
 from sliceball.errors import ConsistencyError, DomainError, PoleError
 from sliceball.quat import I, J, ONE, ZERO, Quaternion
 from sliceball.starpoly import StarPoly, reg_conj
@@ -15,6 +15,12 @@ from sliceball.starpoly import StarPoly, reg_conj
 
 def test_registry_names_unique():
     assert len(set(verify.CHECK_NAMES)) == len(verify.CHECK_NAMES)
+
+
+def test_the_suites_are_those_of_the_registry():
+    # the CLI offers sliceball.SUITES without importing verify
+    named = tuple(dict.fromkeys(check.suite for check in verify.CHECKS))
+    assert SUITES == ("all",) + named
 
 
 def test_suite_filtering():
@@ -228,8 +234,9 @@ _NAN_QUAT = Quaternion(math.nan, math.nan, math.nan, math.nan)
      ["quotient-consistency", "mobius-antihom", "mobius-inverse-map", "coincidence-real",
       "noncoincidence-nonreal", "poincare-invariance", "geodesic-reversal"]),
     ("iso_g_act", _NAN_QUAT,
-     ["iso-isometry", "iso-ineffective-kernel", "iso-star-axiom", "iso-from-translations",
-      "orbit-invariance", "orbit-grid-oracle", "orbit-axis-example"]),
+     ["iso-isometry", "iso-orientation", "iso-ineffective-kernel", "iso-star-axiom",
+      "iso-from-translations", "orbit-invariance", "orbit-grid-oracle", "orbit-axis-example"]),
+    ("centralizer_check", (False, math.nan), ["centralizer-members", "centralizer-outsiders"]),
 ])
 def test_a_nan_fails_every_check_that_sees_it(monkeypatch, target, nan, names):
     for name in names:

@@ -7,8 +7,8 @@ src/sliceball. Both run the same cases, each in a fresh process:
 
 - ``verify --suite all --seed S`` for S = 1..8, in the json and human
   formats;
-- ``verify --suite S --trials 3 --seed 1`` for each named suite S, in both
-  formats;
+- ``verify --suite S --trials 3 --seed 1`` for each named suite S of this
+  tree's ``sliceball.SUITES``, in both formats;
 - every command of ``bench/workloads.CliOneshot`` for seeds 1..8, in both
   formats (the ``table`` commands, which have no format, once per seed);
 - a fixed set of malformed inputs: bad JSON, wrong shapes, strings, bools,
@@ -41,7 +41,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(1, 9)
-SUITES = ("decompose", "mobius", "metrics", "isometry", "orbits")  # the named suites
 FORMATS = ("json", "human")
 TIMEOUT_S = 300
 WORKERS = 2
@@ -61,8 +60,11 @@ def _with_entry(value) -> str:
 
 
 def verify_cases() -> list[tuple[list[str], str]]:
+    sys.path.insert(0, str(ROOT / "src"))
+    from sliceball import SUITES
     full = [["--suite", "all", "--seed", str(s)] for s in SEEDS]
-    short = [["--suite", suite, "--trials", "3", "--seed", "1"] for suite in SUITES]
+    short = [["--suite", suite, "--trials", "3", "--seed", "1"]
+             for suite in SUITES if suite != "all"]
     return [(["verify", *args, "--format", f], "") for args in full + short for f in FORMATS]
 
 
