@@ -1,6 +1,6 @@
 """The quaternionic Poincare metric, the slice metric slice_g as the real part
-of the Hermitian form slice_h, pullback verification, and closed-form geodesics
-and orbits.
+of the Hermitian form slice_h, pullback verification, and tables of the orbits
+exp(t P_u) . a under the classical action.
 
 slice_g(q; a, b) = Re(a_par conj(b_par)) / d^2 + Re(a_perp conj(b_perp)) / |1 - q^2|^2 with
 d = 1 - |q|^2 and a_par, b_par in q's slice: so g_S <= g_P, equal along each slice, and
@@ -13,7 +13,8 @@ import math
 from typing import Callable
 
 from .errors import DomainError
-from .mobius import differential
+from .hmat import exp_m
+from .mobius import classical_apply, differential
 from .quat import ONE, Quaternion, _of_floats, ensure_in_ball, ensure_unit
 
 MetricFn = Callable[[Quaternion, Quaternion, Quaternion], float]
@@ -87,21 +88,10 @@ def pullback_residual(fn: Callable[[Quaternion], Quaternion], metric: MetricFn,
     return defects
 
 
-def symm_geodesic(u: Quaternion, a: Quaternion, t: float) -> Quaternion:
-    """(1 + tanh(t) a conj(u))^-1 (a + tanh(t) u): the one-parameter orbit through a.
-
-    With a = 0 this is the unit-speed Poincare geodesic tanh(t) u through the origin.
-    Despite the name, for other a it is not a geodesic in general: the orbit keeps a
-    constant Poincare distance from the line tanh(s) u, and is a geodesic only when
-    a lies on that line.
-    """
-    tt = math.tanh(t)
-    return (ONE + a * u.conj() * tt).inverse() * (a + u * tt)
-
-
 def geodesic_table(u: Quaternion, t_min: float, t_max: float, steps: int,
                    a: Quaternion | None = None) -> list[tuple[float, Quaternion]]:
-    """Sample rows (t, point) of the orbit through a (origin geodesic when a is 0)."""
+    """Rows (t, exp(t P_u) . a), P_u off-diagonal with block u, of the orbit of a (default
+    0) under the classical action: a geodesic exactly when a lies on the line tanh(s) u."""
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
     ensure_unit(u, "orbit direction must be a unit quaternion")
@@ -119,4 +109,4 @@ def geodesic_table(u: Quaternion, t_min: float, t_max: float, steps: int,
     else:
         ts = [i * step + t_min for i in range(steps)]
     ts[-1] = t_max
-    return [(t, symm_geodesic(u, base, t)) for t in ts]
+    return [(t, classical_apply(exp_m(u * t), base)) for t in ts]

@@ -23,8 +23,11 @@ def classical_apply(a: QMat2, q: Quaternion) -> Quaternion:
     """
     ensure_in_ball(q, "classical Mobius maps blow up outside the ball")
     den = q * a.m12 + a.m22
-    if den.norm() == 0.0:
+    n = den.norm()
+    if n == 0.0:
         raise ConsistencyError("denominator vanished inside the ball; matrix is not in the group")
+    if n == math.inf:  # its squared norm overflowed, so its inverse would round to 0
+        raise DomainError("the denominator q m12 + m22 is too large: its squared norm overflows")
     return den.inverse() * (q * a.m11 + a.m21)
 
 

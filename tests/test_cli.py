@@ -612,11 +612,20 @@ def test_table_rejects_a_non_finite_range(capsys, monkeypatch, bounds):
 
 @pytest.mark.parametrize("kind", ["geodesic", "orbit"])
 def test_table_rejects_a_point_rounded_onto_the_boundary(capsys, monkeypatch, kind):
-    # tanh(20) rounds to 1, so the last row would lie on the unit sphere
+    # at t = 20 the orbit point rounds onto the unit sphere
     code, out, err = run_cli(capsys, monkeypatch, ["table", "--kind", kind, "--t-min=0",
                                                    "--t-max=20", "--steps", "2"])
     assert code == 1 and out == ""
     assert "domain error" in err and "open ball" in err
+
+
+@pytest.mark.parametrize("t_max", ["400", "1e300"])
+@pytest.mark.parametrize("kind", ["geodesic", "orbit"])
+def test_table_rejects_a_t_past_the_float_orbit(capsys, monkeypatch, kind, t_max):
+    code, out, err = run_cli(capsys, monkeypatch, ["table", "--kind", kind, "--t-min=0",
+                                                   f"--t-max={t_max}", "--steps", "2"])
+    assert code == 1 and out == ""
+    assert err.startswith("domain error:")
 
 
 @pytest.mark.parametrize("what, stdin", [

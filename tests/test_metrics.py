@@ -18,8 +18,7 @@ from test_quat import _bits, _qbits, anyquat
 from sliceball.errors import DomainError
 from sliceball.hmat import I11, exp_m, hyperbolic
 from sliceball.lie import orbit_invariant
-from sliceball.metrics import (geodesic_table, poincare_g, pullback_residual,
-                               slice_g, slice_h, symm_geodesic)
+from sliceball.metrics import geodesic_table, poincare_g, pullback_residual, slice_g, slice_h
 from sliceball.mobius import classical_apply, mobius_M, regular_apply
 from sliceball.quat import I, J, ONE, Quaternion, slice_split
 from sliceball.verify import sample_ball, sample_sphere3
@@ -226,13 +225,32 @@ def test_slice_g_invariant_under_regular_centering():
                                      slice_g, q, rng)) <= 1e-5
 
 
+def tanh_orbit(u, a, t):
+    """(1 + tanh(t) a conj(u))^-1 (a + tanh(t) u): the orbit point exp(t P_u) . a in
+    closed form, the reference the tables are held to."""
+    tt = math.tanh(t)
+    return (ONE + a * u.conj() * tt).inverse() * (a + u * tt)
+
+
+def orbit(u, a, t):
+    """The point at t of the orbit table through a."""
+    return geodesic_table(u, t, t, 2, a=a)[0][1]
+
+
 def test_geodesic_examples():
     u = sample_sphere3(np.random.default_rng(36))
     t = 1.0
-    assert (symm_geodesic(u, Quaternion(), t) - u * math.tanh(t)).norm() <= 1e-15
+    assert (orbit(u, Quaternion(), t) - u * math.tanh(t)).norm() <= 1e-15
     a = Quaternion(0.3, 0.2, 0, 0.1)
-    assert symm_geodesic(u, a, 0.0) == a
-    assert abs(symm_geodesic(ONE, Quaternion(), 1.0).w - math.tanh(1.0)) <= 1e-15
+    assert orbit(u, a, 0.0) == a
+    assert abs(orbit(ONE, Quaternion(), 1.0).w - math.tanh(1.0)) <= 1e-15
+
+
+def test_orbit_table_is_the_tanh_form():
+    rng = np.random.default_rng(39)
+    for _ in range(200):
+        u, a, t = sample_sphere3(rng), sample_ball(rng, 0.9), 6.0 * float(rng.random()) - 3.0
+        assert (orbit(u, a, t) - tanh_orbit(u, a, t)).norm() <= 4e-15
 
 
 def test_geodesic_reversal_through_origin():
@@ -240,8 +258,8 @@ def test_geodesic_reversal_through_origin():
     for _ in range(20):
         u = sample_sphere3(rng)
         t = 3.0 * float(rng.random()) - 1.5
-        lhs = classical_apply(I11, symm_geodesic(u, Quaternion(), t))
-        assert (lhs - symm_geodesic(u, Quaternion(), -t)).norm() <= 1e-15
+        lhs = classical_apply(I11, orbit(u, Quaternion(), t))
+        assert (lhs - orbit(u, Quaternion(), -t)).norm() <= 1e-15
 
 
 def test_geodesic_matches_hyperbolic_action():
@@ -249,22 +267,24 @@ def test_geodesic_matches_hyperbolic_action():
     for _ in range(20):
         a = sample_ball(rng, 0.7)
         t = 2.0 * float(rng.random()) - 1.0
-        assert (symm_geodesic(ONE, a, t) - classical_apply(hyperbolic(t), a)).norm() <= 1e-14
+        assert orbit(ONE, a, t) == classical_apply(hyperbolic(t), a)
+        assert (tanh_orbit(ONE, a, t) - classical_apply(hyperbolic(t), a)).norm() <= 1e-14
 
 
 def test_slice_ray():
-    # the slice-metric geodesic ray tanh(t) u is the orbit through the origin
-    assert symm_geodesic(I, Quaternion(), 0.0).norm() == 0.0
-    assert (symm_geodesic(I, Quaternion(), 1.0) - I * math.tanh(1.0)).norm() == 0.0
+    # the slice-metric geodesic ray tanh(t) u is the orbit through the origin;
+    # 4.4e-16 at most over 6001 t in [-3, 3]
+    assert orbit(I, Quaternion(), 0.0).norm() == 0.0
+    for t in np.linspace(-3.0, 3.0, 61):
+        assert (orbit(I, Quaternion(), t) - I * math.tanh(t)).norm() <= 1e-15
 
 
 def test_slice_ray_unit_speed():
     # finite-difference velocity of the ray has slice-metric length 1
     h = 1e-6
     for t in (-1.2, -0.3, 0.0, 0.7, 1.5):
-        p = symm_geodesic(I, Quaternion(), t)
-        v = (symm_geodesic(I, Quaternion(), t + h)
-             - symm_geodesic(I, Quaternion(), t - h)) / (2 * h)
+        p = orbit(I, Quaternion(), t)
+        v = (orbit(I, Quaternion(), t + h) - orbit(I, Quaternion(), t - h)) / (2 * h)
         speed = slice_g(p, v, v)
         assert abs(speed - 1.0) <= 1e-8
 
@@ -290,10 +310,20 @@ def test_geodesic_table_t_column_is_linspace():
              zip(rng.uniform(-5, 5, 200), rng.uniform(-5, 5, 200), rng.integers(2, 200, 200))]
     cases += [(3.0, -2.0, 7), (0.7, 0.7, 4), (-0.0, -0.0, 3), (0.0, -0.0, 3), (-0.0, 1.0, 5),
               (-1.0, -0.0, 5), (1.0, 2.0, 2), (-2.5, 2.5, 5000), (0.0, 5e-324, 3),
-              (-5e-324, 5e-324, 7), (1e300, -1e300, 9)]
+              (-5e-324, 5e-324, 7), (300.0, -300.0, 9)]
     for t_min, t_max, steps in cases:
         got = [t.hex() for t, _ in geodesic_table(ONE, t_min, t_max, steps)]
         assert got == [float(t).hex() for t in np.linspace(t_min, t_max, steps)]
+
+
+@pytest.mark.parametrize("t_max, match", [(400.0, "squared norm overflows"),
+                                          (1e300, "exp_m needs"), (-1e300, "exp_m needs")])
+@pytest.mark.parametrize("a", [None, Quaternion(0.3, 0.1, 0.0, 0.2)])
+def test_orbit_table_rejects_a_t_past_the_float_orbit(t_max, match, a):
+    # at t = 400 cosh(t)^2 overflows, and the inverse of the action's denominator
+    # would round to 0 and put the point at the origin
+    with pytest.raises(DomainError, match=match):
+        geodesic_table(I, 0.0, t_max, 2, a=a)
 
 
 @pytest.mark.parametrize("t_min, t_max", [(-1.0, math.inf), (-math.inf, 1.0),
@@ -327,7 +357,7 @@ def test_orbit_keeps_its_distance_from_the_axis():
         along = (p * u.conj()).w
         return 2.0 * (p - u * along).norm() / (1.0 - p.norm_sq())
 
-    values = [spread(symm_geodesic(u, a, t)) for t in (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0)]
+    values = [spread(orbit(u, a, t)) for t in (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0)]
     assert max(values) - min(values) <= 1e-12 and min(values) > 0.5
 
 

@@ -10,12 +10,12 @@ import pytest
 
 from sliceball.errors import ConsistencyError, DomainError
 from sliceball.hmat import I11, IDENTITY, QMat2, diag, exp_m, hyperbolic, sp11_inverse
-from sliceball.lie import o11_classify
+from sliceball.lie import iso_g_act, o11_classify
 from sliceball.mobius import (classical_apply, differential, f_au, f_au_matrix,
                               mobius_M, quotient_point, regular_apply)
 from sliceball.quat import I, J, K, ONE, ZERO, Quaternion, sgn
 from sliceball.starpoly import linear_map, reg_conj, symmetrize
-from sliceball.verify import _orientation_sign, sample_ball, sample_sphere3
+from sliceball.verify import _orientation_sign, _rand_iso, _rand_sp11, sample_ball, sample_sphere3
 
 
 def test_classical_examples():
@@ -30,6 +30,9 @@ def test_classical_examples():
 def test_classical_rejects_boundary():
     with pytest.raises(DomainError):
         classical_apply(IDENTITY, Quaternion(1.0))
+    # a group matrix whose denominator's squared norm overflows: its inverse would read 0
+    with pytest.raises(DomainError, match="squared norm overflows"):
+        classical_apply(exp_m(Quaternion(400.0)), Quaternion(0.1))
 
 
 def test_regular_examples():
@@ -166,6 +169,60 @@ def test_differential_pushes_the_basis():
         assert all(type(c) is Quaternion for c in cols)
         assert _max_gap(cols, (a, I * a, J * a, K * a)) <= 1e-9
 
+
+
+class Dual:
+    """p + eps v with eps^2 = 0, over quaternions: a foreign quaternion-like type
+    that carries a push v through the quaternion operators (forward-mode
+    differentiation). Quaternion's operators return NotImplemented for it, so
+    Python falls back to the reflected operators here."""
+
+    def __init__(self, p, v):
+        self.p, self.v = p, v
+
+    def _parts(self, o):
+        return (o.p, o.v) if isinstance(o, Dual) else (o, ZERO)
+
+    def __add__(self, o):
+        r, w = self._parts(o)
+        return Dual(self.p + r, self.v + w)
+
+    def __radd__(self, o):
+        r, w = self._parts(o)
+        return Dual(r + self.p, w + self.v)
+
+    def __mul__(self, o):
+        r, w = self._parts(o)
+        return Dual(self.p * r, self.p * w + self.v * r)
+
+    def __rmul__(self, o):
+        r, w = self._parts(o)
+        return Dual(r * self.p, r * self.v + w * self.p)
+
+    def inverse(self):
+        ip = self.p.inverse()
+        return Dual(ip, -(ip * self.v * ip))
+
+    def conj(self):
+        return Dual(self.p.conj(), self.v.conj())
+
+    def norm(self):  # the ball guards compare values
+        return self.p.norm()
+
+
+def test_the_three_maps_stay_generic():
+    # classical_apply, regular_apply and iso_g_act run unmodified on Dual: the values
+    # are the float calls bit for bit, the pushes of 1, i, j, k the differential's columns
+    rng = np.random.default_rng(41)
+    for _ in range(100):
+        mat, e, q = _rand_sp11(rng, 1.2), _rand_iso(rng), sample_ball(rng, 0.7)
+        for fn in (lambda p: classical_apply(mat, p), lambda p: regular_apply(mat, p),
+                   lambda p: iso_g_act(e, p)):
+            duals = [fn(Dual(q, v)) for v in (ONE, I, J, K)]
+            assert all(d.p == fn(q) for d in duals)
+            cols = differential(fn, q)
+            scale = max(c.norm() for c in cols)
+            assert _max_gap([d.v for d in duals], cols) <= 1e-8 * scale
 
 def test_differential_step_underflow():
     with pytest.raises(DomainError):

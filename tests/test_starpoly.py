@@ -134,9 +134,17 @@ def test_star_inverse_pole():
 
 
 def test_root_finder_linear():
-    report = quadratic_root_in_ball(StarPoly([Quaternion(-0.4), Quaternion(2.0)]))
-    assert len(report.points) == 1 and not report.spheres
-    assert (report.points[0] - Quaternion(0.2)).norm() <= 1e-14
+    for a0, a1, zero in [
+        (Quaternion(-0.4), Quaternion(2.0), Quaternion(0.2)),
+        # coefficients that do not commute: the zero is -(a0 a1^-1), and the other
+        # order -(a1^-1 a0) would give the opposite imaginary part
+        (Quaternion(0, 0, 0, 0.3), Quaternion(0, 1, 2, 0), Quaternion(0, -0.12, 0.06, 0)),
+    ]:
+        p = StarPoly([a0, a1])
+        report = quadratic_root_in_ball(p)
+        assert len(report.points) == 1 and not report.spheres
+        assert (report.points[0] - zero).norm() <= 1e-14
+        assert p.eval(report.points[0]).norm() <= 1e-15
 
 
 def test_root_finder_spherical():

@@ -366,16 +366,17 @@ def test_a_negative_seed_is_rejected_before_any_worker_starts(monkeypatch):
 
 # The embedding oracle of hat-membership.
 
-def test_hat_check_examples():
-    j, k = verify._j2(), verify._k11()
-    jq = Quaternion(0, 0, 1, 0)
-    assert np.abs(hmat.psi_embed(hmat.QMat2(jq, ZERO, ZERO, jq)) - j).max() == 0.0
+def test_hat_check_examples(monkeypatch):
+    j, k = hmat.psi_embed(hmat.scalar(J)), hmat.psi_embed(hmat.I11)
+    i2 = np.eye(2)
+    assert np.array_equal(j, np.block([[0 * i2, i2], [-i2, 0 * i2]]))
     assert np.abs(j @ j + np.eye(4)).max() == 0.0
     assert np.array_equal(k, np.diag([1.0, -1.0, 1.0, -1.0]))
 
     def hat(a):
-        return verify._hat_sp11_residual(verify._rho(hmat.psi_embed(a)), k, j)
+        monkeypatch.setattr(verify, "_rand_sp11", lambda rng, max_t: a)
+        return _run_named("hat-membership").value
 
     assert hat(hmat.IDENTITY) <= hmat.GROUP_TOL
     assert hat(hmat.hyperbolic(1.0)) <= hmat.GROUP_TOL
-    assert not verify._hat_sp11_residual(2.0 * np.eye(4), k, j) <= hmat.GROUP_TOL
+    assert not hat(hmat.IDENTITY * 2.0) <= hmat.GROUP_TOL
