@@ -182,7 +182,9 @@ def cmd_table(args) -> int:
     u = _quat_from_list(_parse_json(args.u))
     base = None if args.a is None else _quat_from_list(_parse_json(args.a))
     rows = geodesic_table(u, args.t_min, args.t_max, args.steps, a=base)
-    for _, p in rows:  # far out along the orbit a point can round onto the boundary
+    for t, p in rows:  # far out along the orbit a point can round onto the boundary
+        if abs(math.tanh(t)) == 1.0:  # iso_g_act's rule: the row lies on the sphere
+            raise DomainError(f"a table row is not in the open ball: |tanh({t!r})| rounds to 1")
         ensure_in_ball(p, "a table point is not in the open ball", name="p")
     print("t,w,x,y,z")
     for t, p in rows:

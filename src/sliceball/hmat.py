@@ -75,8 +75,6 @@ class QMat2:
             return r
         return NotImplemented
 
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "QMat2") -> "QMat2":
         a11, a12, a21, a22 = self.m11, self.m12, self.m21, self.m22
         b11, b12, b21, b22 = other.m11, other.m12, other.m21, other.m22
@@ -128,12 +126,12 @@ def _mul_add(p: Quaternion, q: Quaternion, r: Quaternion, s: Quaternion) -> Quat
 
 
 def nan_max(values) -> float:
-    """max() of a sequence of non-negative values, NaN when any value is NaN or
-    when there is none.
+    """max() of a sequence of values, NaN when any value is NaN or when there is none.
 
     The builtin max() keeps its first argument when a comparison with NaN is
-    false, so it drops a NaN that is not first. One sum detects a NaN: the
-    values are never -inf, so the sum is NaN only when a value is.
+    false, so it drops a NaN that is not first. One sum detects a NaN; it is NaN
+    also where it meets both infinities, and so is the result, which
+    verify.run_check fails as it would fail max()'s inf or min()'s -inf.
     """
     total = sum(values)
     return max(values) if total == total and values else math.nan
@@ -161,11 +159,6 @@ def i_eps(eps: int) -> QMat2:
     if eps not in (1, -1):
         raise DomainError(f"eps must be +1 or -1, got {eps!r}")
     return diag(ONE, Quaternion(eps))
-
-
-def scalar(v: Quaternion) -> QMat2:
-    """v times the identity matrix."""
-    return QMat2(v, ZERO, ZERO, v)
 
 
 # ---------------------------------------------------------------------------

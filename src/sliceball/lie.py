@@ -10,7 +10,7 @@ from collections import namedtuple
 
 from . import CENTRALIZER_SUBGROUPS
 from .errors import ConsistencyError, DomainError
-from .hmat import QMat2, column_scaled_norm, diag, ensure_sp11, exp_m, nan_max, scalar
+from .hmat import QMat2, column_scaled_norm, diag, ensure_sp11, exp_m, nan_max
 from .quat import I, J, ONE, Quaternion, ensure_in_ball, ensure_unit, sgn, slice_split
 
 # Recomposition tolerance for both factorizations, relative to A's column scales.
@@ -90,9 +90,7 @@ def slice_decompose(a: QMat2) -> SliceFactorization:
 
 
 # ---------------------------------------------------------------------------
-# The slice-metric isometry group: tuples (u, eps1, t, eps2) acting by
-#   q -> eps1 u (1 + tanh(t) q)^-1 (q + tanh(t)) conj(u)
-# with q replaced by conj(q) first when eps2 = -1.
+# The slice-metric isometry group: tuples (u, eps1, t, eps2), acting by iso_g_act.
 
 class IsoGElement(namedtuple("IsoGElement", "u eps1 t eps2")):
     __slots__ = ()
@@ -110,6 +108,9 @@ ISO_IDENTITY = IsoGElement(ONE, 1, 0.0, 1)
 
 
 def iso_g_act(e: IsoGElement, q: Quaternion) -> Quaternion:
+    """q -> eps1 u (1 + tanh(t) q)^-1 (q + tanh(t)) conj(u), with q replaced by conj(q)
+    first when eps2 = -1. DomainError for q off the open ball, and once |tanh(t)|
+    rounds to 1 (|t| past about 19.06), where every point would map onto the sphere."""
     ensure_in_ball(q, "isometries act on the open ball")
     tt = math.tanh(e.t)
     if abs(tt) == 1.0:
@@ -139,7 +140,7 @@ def iso_g_inverse(e: IsoGElement) -> IsoGElement:
 # Centralizer predicates, by commutation against a generating probe set.
 
 # Built once; like ISO_IDENTITY the probes are values and are never mutated.
-_PROBES = {"sp1x1": (diag(I, ONE), diag(J, ONE)), "sp1I2": (scalar(I), scalar(J))}
+_PROBES = {"sp1x1": (diag(I, ONE), diag(J, ONE)), "sp1I2": (diag(I, I), diag(J, J))}
 _PROBES["sp1xsp1"] = _PROBES["sp1x1"] + _PROBES["sp1I2"]
 
 

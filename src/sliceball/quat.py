@@ -29,9 +29,6 @@ class Quaternion:
             return NotImplemented
         return (self.w, self.x, self.y, self.z) == (other.w, other.x, other.y, other.z)
 
-    def __hash__(self):
-        return hash((self.w, self.x, self.y, self.z))
-
     # Every operator allocates its result once, through object.__new__ and the
     # four slots: the coordinates are Python floats already, as every slot of a
     # Quaternion is, so the float() coercion of __init__ could not change them.
@@ -53,8 +50,6 @@ class Quaternion:
             return r
         return NotImplemented
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "Quaternion":
         if type(other) is Quaternion:
             r = _new(Quaternion)
@@ -71,9 +66,6 @@ class Quaternion:
             r.z = self.z
             return r
         return NotImplemented
-
-    def __rsub__(self, other) -> "Quaternion":
-        return (-self).__add__(other)
 
     def __neg__(self) -> "Quaternion":
         r = _new(Quaternion)

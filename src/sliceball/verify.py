@@ -25,7 +25,7 @@ import numpy.random  # noqa: F401  numpy loads it lazily; loaded here, forked wo
 from . import SUITES, hmat
 from .errors import ConsistencyError, DomainError
 from .hmat import (I11, IDENTITY, QMat2, Sp11Algebra, algebra_check, diag, exp_general,
-                   exp_m, hyperbolic, i_eps, lie_bracket, off_diag, psi_embed, scalar,
+                   exp_m, hyperbolic, i_eps, lie_bracket, nan_max, off_diag, psi_embed,
                    sp11_check, sp11_inverse)
 from .lie import (ISO_IDENTITY, IsoGElement, SliceFactorization,
                   SymmFactorization, centralizer_check, iso_g_act,
@@ -58,15 +58,11 @@ Residuals = Iterator[float]
 
 
 def _worst(values: Iterable[float], op: str) -> float:
-    """The max of the values for "<=", their min for ">=".
-
-    NaN when any value is NaN or when there is none, so that neither a NaN nor
-    an empty check can be reduced to a passing number.
-    """
+    """The max of the values for "<=", their min for ">=", NaN by nan_max's rule (a
+    NaN, or no value) so that neither can be reduced to a passing number."""
     values = list(values)
-    if not values or any(math.isnan(v) for v in values):
-        return math.nan
-    return max(values) if op == "<=" else min(values)
+    worst = nan_max(values)
+    return worst if op == "<=" or worst != worst else min(values)
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +207,9 @@ def check_psi_homomorphism(rng, trials: int) -> Residuals:
 def check_hat_membership(rng, trials: int) -> Residuals:
     """The embedded group, conjugated by d = diag(1, i, 1, i) onto its complex
     realization, preserves both forms: k = psi_embed(I11) = diag(1, -1, 1, -1), the
-    image of diag(1, -1), and j = psi_embed(scalar(J)) = [[0, I2], [-I2, 0]], the
+    image of diag(1, -1), and j = psi_embed(diag(J, J)) = [[0, I2], [-I2, 0]], the
     image of j times the identity."""
-    k, j = psi_embed(I11), psi_embed(scalar(J))
+    k, j = psi_embed(I11), psi_embed(diag(J, J))
     d = np.array([1.0, 1.0j, 1.0, 1.0j])
     for _ in range(trials):
         m = (psi_embed(_rand_sp11(rng, 1.2)) * d[:, None]) * (1.0 / d)[None, :]
@@ -431,7 +427,7 @@ def check_quotient_well_defined(rng, trials: int) -> Residuals:
     for _ in range(trials):
         a = _rand_sp11(rng, 1.2)
         w, v = sample_sphere3(rng), sample_sphere3(rng)
-        moved = diag(w, ONE) @ a @ scalar(v)
+        moved = diag(w, ONE) @ a @ diag(v, v)
         yield (quotient_point(moved) - quotient_point(a)).norm()
 
 
@@ -635,9 +631,9 @@ def check_orbit_invariance(rng, trials: int) -> Residuals:
         yield abs(orbit_invariant(iso_g_act(_rand_iso(rng), base)) - y)
 
 
-def _orbit_grid_oracle(q: Quaternion, t_lo: float = -5.0, t_hi: float = 5.0) -> float:
+def _orbit_grid_oracle(q: Quaternion) -> float:
     """Locate the orbit's imaginary-axis crossing by bisecting on the sign of the
-    real part of H(t) q over [t_lo, t_hi]; read off |Im|.
+    real part of H(t) q over [-5, 5]; read off |Im|.
 
     Re H(t) q has the sign of tau^2 x + tau (1 + |q|^2) + x with tau = tanh t and
     x = Re q. That quadratic is negative at tau = -1, positive at tau = 1, and its
@@ -647,9 +643,9 @@ def _orbit_grid_oracle(q: Quaternion, t_lo: float = -5.0, t_hi: float = 5.0) -> 
     def real_part(t: float) -> float:
         return iso_g_act(IsoGElement(ONE, 1, t, 1), q).w
 
-    lo, hi, rlo = t_lo, t_hi, real_part(t_lo)
-    if not rlo * real_part(t_hi) < 0.0:
-        raise ConsistencyError(f"no axis crossing of the orbit of {q!r} on [{t_lo!r}, {t_hi!r}]")
+    lo, hi, rlo = -5.0, 5.0, real_part(-5.0)
+    if not rlo * real_part(hi) < 0.0:
+        raise ConsistencyError(f"no axis crossing of the orbit of {q!r} on [-5.0, 5.0]")
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         rm = real_part(mid)

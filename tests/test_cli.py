@@ -619,6 +619,27 @@ def test_table_rejects_a_point_rounded_onto_the_boundary(capsys, monkeypatch, ki
     assert "domain error" in err and "open ball" in err
 
 
+_EDGE_TABLES = {"geodesic": ["--kind", "geodesic"],
+                "orbit": ["--kind", "orbit", "--u", "[0,1,0,0]", "--a", "[0,-0.9,0,0]"]}
+
+
+@pytest.mark.parametrize("t_max", ["19.5", "300"])
+@pytest.mark.parametrize("kind", ["geodesic", "orbit"])
+def test_table_rejects_a_row_whose_tanh_rounds_to_one(capsys, monkeypatch, kind, t_max):
+    # iso_g_act's rule: at these t every point lies within an ulp of the sphere
+    code, out, err = run_cli(capsys, monkeypatch, ["table", *_EDGE_TABLES[kind], "--t-min=0",
+                                                   f"--t-max={t_max}", "--steps", "2"])
+    assert code == 1 and out == ""
+    assert err.startswith("domain error:") and "open ball" in err and "tanh" in err
+
+
+@pytest.mark.parametrize("kind", ["geodesic", "orbit"])
+def test_table_prints_the_rows_below_the_tanh_edge(capsys, monkeypatch, kind):
+    code, out, _ = run_cli(capsys, monkeypatch, ["table", *_EDGE_TABLES[kind], "--t-min=0",
+                                                 "--t-max=18.5", "--steps", "2"])
+    assert code == 0 and out.splitlines()[2].startswith("18.5,")
+
+
 @pytest.mark.parametrize("t_max", ["400", "1e300"])
 @pytest.mark.parametrize("kind", ["geodesic", "orbit"])
 def test_table_rejects_a_t_past_the_float_orbit(capsys, monkeypatch, kind, t_max):

@@ -11,7 +11,7 @@ from test_hmat import blockquat, finitequat
 from test_quat import _bits
 
 from sliceball.errors import DomainError
-from sliceball.hmat import IDENTITY, QMat2, diag, exp_m, hyperbolic, i_eps, scalar
+from sliceball.hmat import IDENTITY, QMat2, diag, exp_m, hyperbolic, i_eps
 from sliceball.lie import (ISO_IDENTITY, IsoGElement,
                            SliceFactorization, SymmFactorization,
                            centralizer_check, iso_g_act,
@@ -57,7 +57,7 @@ def test_slice_decompose_examples():
     assert (fact.v - ONE).norm() <= 1e-12
 
     v = sample_sphere3(np.random.default_rng(43))
-    fact = slice_decompose(scalar(v))
+    fact = slice_decompose(diag(v, v))
     assert (fact.u - ONE).norm() <= 1e-12
     assert fact.x.norm() <= 1e-12
     assert (fact.v - v).norm() <= 1e-12
@@ -68,7 +68,7 @@ def test_slice_compose_examples():
     u = sample_sphere3(np.random.default_rng(44))
     assert (slice_compose(SliceFactorization(u, Quaternion(), ONE)) - diag(u, ONE)).max_norm() == 0.0
     got = slice_compose(SliceFactorization(ONE, I * 0.3, J))
-    assert (got - exp_m(I * 0.3) @ scalar(J)).max_norm() == 0.0
+    assert (got - exp_m(I * 0.3) @ diag(J, J)).max_norm() == 0.0
 
 
 def _entries_equal_with_norms_bit_for_bit(got: QMat2, want: QMat2) -> None:
@@ -83,12 +83,12 @@ def _finite(m: QMat2) -> bool:
 @given(finitequat, finitequat, blockquat)
 def test_compose_maps_are_the_matrix_products(u, v, x):
     # The closed forms drop the 0 * e terms that the products against the zero
-    # blocks of diag(u, v), diag(u, 1) and scalar(v) add. On finite factors such
+    # blocks of diag(u, v), diag(u, 1) and diag(v, v) add. On finite factors such
     # a term is a signed zero, so it can only flip the sign of a zero coordinate.
     if not x.norm() <= 710.0:
         return  # exp_m's DomainError
     symm = diag(u, v) @ exp_m(x)
-    sliced = diag(u, ONE) @ exp_m(x) @ scalar(v)
+    sliced = diag(u, ONE) @ exp_m(x) @ diag(v, v)
     assume(_finite(symm) and _finite(sliced))
     _entries_equal_with_norms_bit_for_bit(symm_compose(SymmFactorization(u, v, x)), symm)
     _entries_equal_with_norms_bit_for_bit(slice_compose(SliceFactorization(u, x, v)), sliced)

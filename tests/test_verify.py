@@ -158,8 +158,6 @@ def test_orbit_grid_oracle_catches_a_wrong_invariant(monkeypatch):
 def test_orbit_grid_oracle_needs_a_bracketed_crossing():
     q = J * 0.5  # crosses the imaginary axis at t = 0
     assert abs(verify._orbit_grid_oracle(q) - 0.5) <= 1e-15
-    with pytest.raises(ConsistencyError):
-        verify._orbit_grid_oracle(q, t_lo=1.0, t_hi=5.0)
     # a point so near the boundary that its crossing lies beyond t = -5
     with pytest.raises(ConsistencyError):
         verify._orbit_grid_oracle(Quaternion(0.9999999, 1e-9))
@@ -299,6 +297,20 @@ def test_a_check_that_yields_nothing_fails(op, failing):
     assert not result.passed and result.value == failing
 
 
+@pytest.mark.parametrize("op", ["<=", ">="])
+def test_worst_is_nan_for_a_nan_or_no_value(op):
+    assert math.isnan(verify._worst(iter(()), op))
+    for values in ([math.nan], [1.0, math.nan], [math.nan, 1.0], [0.5, math.nan, 2.0]):
+        assert math.isnan(verify._worst(iter(values), op))
+
+
+def test_worst_is_the_max_or_the_min():
+    assert verify._worst(iter([1.0, math.inf]), "<=") == math.inf
+    assert verify._worst(iter([0.5, 2.0]), ">=") == 0.5
+    for zeros in ([0.0, -0.0], [-0.0, 0.0]):
+        assert verify._worst(iter(zeros), ">=").hex() == min(zeros).hex()  # keeps the sign
+
+
 def test_a_check_reports_its_cpu_time():
     # 50 ms asleep cost no CPU; a wall clock would report them
     def sleeps(rng, trials):
@@ -367,7 +379,7 @@ def test_a_negative_seed_is_rejected_before_any_worker_starts(monkeypatch):
 # The embedding oracle of hat-membership.
 
 def test_hat_check_examples(monkeypatch):
-    j, k = hmat.psi_embed(hmat.scalar(J)), hmat.psi_embed(hmat.I11)
+    j, k = hmat.psi_embed(hmat.diag(J, J)), hmat.psi_embed(hmat.I11)
     i2 = np.eye(2)
     assert np.array_equal(j, np.block([[0 * i2, i2], [-i2, 0 * i2]]))
     assert np.abs(j @ j + np.eye(4)).max() == 0.0

@@ -13,7 +13,8 @@ src/sliceball. Both run the same cases, each in a fresh process:
   formats (the ``table`` commands, which have no format, once per seed);
 - a fixed set of malformed inputs: bad JSON, wrong shapes, strings, bools,
   null, NaN, 1e308, a 400-digit integer, nesting deeper than the interpreter's
-  stack, and bad ``table`` arguments.
+  stack, bad ``table`` arguments, and two tables whose last row lies past
+  the ``|tanh t|`` edge.
 
 A case differs when its stdout, exit code or stderr differs; verify's
 ``wall time:`` line is left out of stderr. One JSON line is printed per
@@ -99,7 +100,8 @@ def malformed_cases() -> list[tuple[list[str], str]]:
               ["--t-min=nan"], ["--t-min=-1", "--t-max=1e400"],
               ["--t-min=-1e308", "--t-max=1e308"], ["--kind", "orbit", "--a", "[1,0,0,0]"],
               ["--kind", "orbit", "--a", f"[{_HUGE},0,0,0]"], ["--a", "[5,0,0,0]"],
-              ["--kind", "geodesic", "--a", "[0.3,0,0,0]"]]
+              ["--kind", "geodesic", "--a", "[0.3,0,0,0]"], ["--t-min=0", "--t-max=19.5", "--steps=2"],
+              ["--t-min=0", "--t-max=300", "--steps=2"]]
     cases += [(["table"] + t, "") for t in tables]
     return cases
 
