@@ -164,38 +164,54 @@ def i_eps(eps: int) -> QMat2:
 # ---------------------------------------------------------------------------
 # Group membership and inversion.
 
-def _sp11_defect(a: QMat2) -> QMat2:
-    """adjoint(A) sigma(A) - I, zero exactly on the group: (adjoint(A) K A - K) K for
-    K = diag(1,-1), its column 2 negated exactly, so each entry norm is kept bit for bit.
-    Entry (i, j) is conj(a_1i) s_1j + conj(a_2i) s_2j - delta_ij, s = sigma(A), fused."""
-    a11, a12, a21, a22 = a.m11, a.m12, a.m21, a.m22
-    s12, s21 = -a12, -a21
-    return QMat2(_conj_mul_add(a11, a11, a21, s21, 1.0), _conj_mul_add(a11, s12, a21, a22, 0.0),
-                 _conj_mul_add(a12, a11, a22, s21, 0.0), _conj_mul_add(a12, s12, a22, a22, 1.0))
+def _sp11_residuals(a: QMat2) -> tuple[float, float]:
+    """(column_scaled_norm(P, A), P.max_norm()) of P = adjoint(A) sigma(A) - I in one pass.
 
-
-def _conj_mul_add(p: Quaternion, q: Quaternion, r: Quaternion, s: Quaternion,
-                  delta: float) -> Quaternion:
-    """conj(p) q + conj(r) s - delta in one allocation, rounding as the operators do
-    bit for bit: (-x) * y is -(x * y) and a - (-b) is a + b exactly, and x - 0.0 is x."""
-    pw, px, py, pz = p.w, p.x, p.y, p.z
-    qw, qx, qy, qz = q.w, q.x, q.y, q.z
-    rw, rx, ry, rz = r.w, r.x, r.y, r.z
-    sw, sx, sy, sz = s.w, s.x, s.y, s.z
-    out = _new(Quaternion)
-    out.w = ((pw * qw + px * qx + py * qy + pz * qz)
-             + (rw * sw + rx * sx + ry * sy + rz * sz)) - delta
-    out.x = (pw * qx - px * qw - py * qz + pz * qy) + (rw * sx - rx * sw - ry * sz + rz * sy)
-    out.y = (pw * qy + px * qz - py * qw - pz * qx) + (rw * sy + rx * sz - ry * sw - rz * sx)
-    out.z = (pw * qz - px * qy + py * qx - pz * qw) + (rw * sz - rx * sy + ry * sx - rz * sw)
-    return out
+    P_ij = conj(a_1i) s_1j + conj(a_2i) s_2j - delta_ij, s = sigma(A), on float locals with
+    the quaternion operators' products and sums in their order; the negated factor of s
+    moves out exactly, as (-x) y = -(x y), (-p) - (-q) = -(p - q) and p + (-q) = p - q up
+    to the sign of a zero, which no norm reads. So both values are the matrix form's bit
+    for bit, NaN canonicalised (sqrt is monotone, so the largest root is max_norm's).
+    """
+    aw, ax, ay, az = a.m11.w, a.m11.x, a.m11.y, a.m11.z  # A = [[a, c], [b, d]]
+    bw, bx, by, bz = a.m21.w, a.m21.x, a.m21.y, a.m21.z
+    cw, cx, cy, cz = a.m12.w, a.m12.x, a.m12.y, a.m12.z
+    dw, dx, dy, dz = a.m22.w, a.m22.x, a.m22.y, a.m22.z
+    na = aw * aw + ax * ax + ay * ay + az * az  # Quaternion.norm_sq
+    nb = bw * bw + bx * bx + by * by + bz * bz
+    nc = cw * cw + cx * cx + cy * cy + cz * cz
+    nd = dw * dw + dx * dx + dy * dy + dz * dz
+    w = (na - nb) - 1.0  # Re P_11 from the column scales' squared norms
+    x = (aw * ax - ax * aw - ay * az + az * ay) - (bw * bx - bx * bw - by * bz + bz * by)
+    y = (aw * ay + ax * az - ay * aw - az * ax) - (bw * by + bx * bz - by * bw - bz * bx)
+    z = (aw * az - ax * ay + ay * ax - az * aw) - (bw * bz - bx * by + by * bx - bz * bw)
+    n11 = math.sqrt(w * w + x * x + y * y + z * z)  # |P_11| = |conj(a) a - conj(b) b - 1|
+    w = (bw * dw + bx * dx + by * dy + bz * dz) - (aw * cw + ax * cx + ay * cy + az * cz)
+    x = (bw * dx - bx * dw - by * dz + bz * dy) - (aw * cx - ax * cw - ay * cz + az * cy)
+    y = (bw * dy + bx * dz - by * dw - bz * dx) - (aw * cy + ax * cz - ay * cw - az * cx)
+    z = (bw * dz - bx * dy + by * dx - bz * dw) - (aw * cz - ax * cy + ay * cx - az * cw)
+    n12 = math.sqrt(w * w + x * x + y * y + z * z)  # |P_12| = |conj(b) d - conj(a) c|
+    w = (cw * aw + cx * ax + cy * ay + cz * az) - (dw * bw + dx * bx + dy * by + dz * bz)
+    x = (cw * ax - cx * aw - cy * az + cz * ay) - (dw * bx - dx * bw - dy * bz + dz * by)
+    y = (cw * ay + cx * az - cy * aw - cz * ax) - (dw * by + dx * bz - dy * bw - dz * bx)
+    z = (cw * az - cx * ay + cy * ax - cz * aw) - (dw * bz - dx * by + dy * bx - dz * bw)
+    n21 = math.sqrt(w * w + x * x + y * y + z * z)  # |P_21| = |conj(c) a - conj(d) b|
+    w = (nd - nc) - 1.0
+    x = (dw * dx - dx * dw - dy * dz + dz * dy) - (cw * cx - cx * cw - cy * cz + cz * cy)
+    y = (dw * dy + dx * dz - dy * dw - dz * dx) - (cw * cy + cx * cz - cy * cw - cz * cx)
+    z = (dw * dz - dx * dy + dy * dx - dz * dw) - (cw * cz - cx * cy + cy * cx - cz * cw)
+    n22 = math.sqrt(w * w + x * x + y * y + z * z)  # |P_22| = |conj(d) d - conj(c) c - 1|
+    s1 = max(1.0, math.hypot(math.sqrt(na), math.sqrt(nb)))
+    s2 = max(1.0, math.hypot(math.sqrt(nc), math.sqrt(nd)))
+    return (nan_max((n11 / s1 / s1, n12 / s1 / s2, n21 / s2 / s1, n22 / s2 / s2)),
+            nan_max((n11, n12, n21, n22)))
 
 
 def sp11_check(a: QMat2) -> tuple[bool, float]:
     """Membership under the column-scaled rule of ensure_sp11, paired with the
     absolute residual: the max-norm of adjoint(A) sigma(A) - I."""
-    d = _sp11_defect(a)
-    return column_scaled_norm(d, a) <= GROUP_TOL, d.max_norm()
+    scaled, absolute = _sp11_residuals(a)
+    return scaled <= GROUP_TOL, absolute
 
 
 def column_scaled_norm(d: QMat2, a: QMat2) -> float:
@@ -204,8 +220,8 @@ def column_scaled_norm(d: QMat2, a: QMat2) -> float:
     Entry (i, j) of adjoint(A) sigma(A) pairs columns i and j of A, so its
     roundoff is of order eps s_i s_j. Measured this way a member of any orbit
     distance keeps a defect near eps, while a huge column gives no slack to the
-    entries of a tiny one. Used by every gate that must scale with A; a NaN
-    anywhere gives NaN.
+    entries of a tiny one. The group gate applies this rule in its fused pass,
+    _sp11_residuals; the recomposition gate calls it. A NaN anywhere gives NaN.
     """
     n = [math.sqrt(e.w * e.w + e.x * e.x + e.y * e.y + e.z * e.z)  # Quaternion.norm
          for e in (a.m11, a.m21, a.m12, a.m22, d.m11, d.m12, d.m21, d.m22)]
@@ -219,10 +235,18 @@ def ensure_sp11(a: QMat2) -> QMat2:
 
     The defect is quadratic in the entries, so roundoff in a member of orbit
     distance r grows like cosh(2r); entry (i, j) of the defect may reach
-    GROUP_TOL * s_i * s_j (see column_scaled_norm). A NaN or an overflow fails.
+    GROUP_TOL * s_i * s_j (see column_scaled_norm). A NaN or an overflow fails;
+    finite entries whose squared norm overflows (members from orbit distance
+    acosh(sqrt(max double)) ~ 355.58 on) fail as undecidable in doubles.
     """
-    r = column_scaled_norm(_sp11_defect(a), a)
+    r = _sp11_residuals(a)[0]
     if not r <= GROUP_TOL:
+        if math.isinf(a.max_norm()) and all(
+                math.isfinite(c) for e in a.entries() for c in (e.w, e.x, e.y, e.z)):
+            big = max(math.hypot(e.w, e.x, e.y, e.z) for e in a.entries())
+            raise DomainError(f"group membership cannot be decided in doubles: the largest "
+                              f"entry norm {big!r} overflows when squared, as in members from "
+                              f"orbit distance acosh(sqrt(max double)) = {_SQUARE_MAX_ARG!r} on")
         raise DomainError(
             f"matrix is not in the group (column-scaled residual {r!r} > {GROUP_TOL!r})")
     return a
@@ -304,6 +328,7 @@ def exp_m(q: Quaternion) -> QMat2:
 
 
 _COSH_MAX_ARG = math.acosh(sys.float_info.max)  # exp_m's domain: cosh overflows past it
+_SQUARE_MAX_ARG = math.acosh(math.sqrt(sys.float_info.max))  # where cosh(r)^2 overflows
 _EXP_TERMS = 16
 _EXP_SCALE_LIMIT = 0.5
 

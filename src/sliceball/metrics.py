@@ -76,15 +76,20 @@ def pullback_residual(fn: Callable[[Quaternion], Quaternion], metric: MetricFn,
     from one rng.standard_normal(8); dfn weights the columns of differential(fn, q), the
     pushes of 1, i, j, k, by a tangent's coordinates. Raises DomainError, as every
     metric call does, when the metric rejects the image fn(q) (a NaN, or off the ball)."""
-    c0, c1, c2, c3 = differential(fn, q)
+    (c0w, c0x, c0y, c0z), (c1w, c1x, c1y, c1z), (c2w, c2x, c2y, c2z), (c3w, c3x, c3y, c3z) = (
+        (c.w, c.x, c.y, c.z) for c in differential(fn, q))
     image = fn(q)
+    def push(tw: float, tx: float, ty: float, tz: float) -> Quaternion:
+        # summed in the order numpy's jac @ v summed on a row-major 4x4 Jacobian
+        return _of_floats((c0w * tw + c2w * ty) + (c1w * tx + c3w * tz),
+                          (c0x * tw + c2x * ty) + (c1x * tx + c3x * tz),
+                          (c0y * tw + c2y * ty) + (c1y * tx + c3y * tz),
+                          (c0z * tw + c2z * ty) + (c1z * tx + c3z * tz))
     defects = []
     for _ in range(trials):
         v = rng.standard_normal(8).tolist()  # the stream of two standard_normal(4) draws
         alpha, beta = _of_floats(*v[:4]), _of_floats(*v[4:])
-        # summed in the order numpy's jac @ v summed on a row-major 4x4 Jacobian
-        da, db = ((c0 * t.w + c2 * t.y) + (c1 * t.x + c3 * t.z) for t in (alpha, beta))
-        defects.append(abs(metric(q, alpha, beta) - metric(image, da, db)))
+        defects.append(abs(metric(q, alpha, beta) - metric(image, push(*v[:4]), push(*v[4:]))))
     return defects
 
 

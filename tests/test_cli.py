@@ -518,6 +518,15 @@ def test_decompose_far_from_the_identity(capsys, monkeypatch, r, mode):
     assert max(abs(a - b) for a, b in zip(payload["X"], [0, 0, r, 0])) <= 1e-12 * r
 
 
+@pytest.mark.parametrize("mode", ["slice", "symm"])
+def test_decompose_past_the_squared_overflow(capsys, monkeypatch, mode):
+    # exp(360 j): finite entries whose squared norm overflows, so membership is undecidable
+    code, out, err = run_cli(capsys, monkeypatch, ["decompose", "--mode", mode],
+                             stdin=json.dumps(mat_to_list(exp_m(J * 360.0))))
+    assert code == 1 and out == ""
+    assert "group membership cannot be decided in doubles" in err and "355.584" in err
+
+
 @pytest.mark.parametrize("kind", ["classical", "regular"])
 @pytest.mark.parametrize("point", [[math.nan, 0, 0, 0], [0, math.inf, 0, 0], [2, 0, 0, 0]])
 def test_mobius_rejects_points_off_the_ball(capsys, monkeypatch, kind, point):

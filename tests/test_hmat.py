@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from test_quat import _bits, anyfloat, anyquat
 from sliceball import verify
 from sliceball.errors import DomainError
-from sliceball.hmat import (ALGEBRA_TOL, I11, IDENTITY, QMat2, Sp11Algebra, _sp11_defect,
+from sliceball.hmat import (ALGEBRA_TOL, I11, IDENTITY, QMat2, Sp11Algebra, _sp11_residuals,
                             algebra_check, column_scaled_norm, diag, exp_general, exp_m,
                             hyperbolic, lie_bracket, off_diag, psi_embed, sigma, sp11_check,
                             sp11_inverse)
@@ -179,8 +179,7 @@ def _product_algebra_residual(x: QMat2) -> float:
 
 def _same_forms(a: QMat2) -> None:
     assert _bits(sp11_check(a)[1]) == _bits(_product_defect(a).max_norm())
-    assert _bits(column_scaled_norm(_sp11_defect(a), a)) == _bits(
-        column_scaled_norm(_product_defect(a), a))
+    assert _bits(_sp11_residuals(a)[0]) == _bits(column_scaled_norm(_product_defect(a), a))
     assert _bits(algebra_check(a)[1]) == _bits(_product_algebra_residual(a))
 
 
@@ -205,10 +204,45 @@ def test_sigma_forms_equal_the_product_forms_bit_for_bit(a):
 unitquat = st.builds(Quaternion, *[st.floats(-2.0, 2.0)] * 4)
 
 
-@given(st.one_of(anymat, st.builds(QMat2, *[unitquat] * 4)))
-def test_sp11_defect_is_the_product_form_bit_for_bit(a):
-    # four fused entries conj(p) q + conj(r) s - delta against the matrix operators
-    assert _mbits(_sp11_defect(a)) == _mbits(a.adjoint() @ sigma(a) - IDENTITY)
+# members out to orbit distance 15, where the column scaling decides membership,
+# and normal matrices with a scale per entry, whose roundings differ with the order
+# of a sum
+membermat = st.builds(lambda seed: verify._rand_sp11(np.random.default_rng(seed), 15.0),
+                      st.integers(0, 2 ** 32 - 1))
+
+
+def _normal_mat(seed: int) -> QMat2:
+    rng = np.random.default_rng(seed)
+    coords = rng.standard_normal((4, 4)) * 10.0 ** rng.integers(-3, 4, (4, 1))
+    return QMat2(*(Quaternion(*row) for row in coords.tolist()))
+
+
+normalmat = st.builds(_normal_mat, st.integers(0, 2 ** 32 - 1))
+
+
+def _same_residuals(a: QMat2) -> None:
+    # the fused pass against the matrix operators and the two reductions it replaces
+    p = a.adjoint() @ sigma(a) - IDENTITY
+    assert _bits(*_sp11_residuals(a)) == _bits(column_scaled_norm(p, a), p.max_norm())
+
+
+@given(st.one_of(anymat, st.builds(QMat2, *[unitquat] * 4), membermat, normalmat))
+def test_sp11_residuals_are_the_matrix_form_bit_for_bit(a):
+    _same_residuals(a)
+
+
+@pytest.mark.parametrize("a", [
+    QMat2(Quaternion(math.inf), ZERO, ZERO, ONE),
+    QMat2(ONE, Quaternion(0.0, -math.inf), ZERO, Quaternion(0.0, 0.0, math.inf)),
+    QMat2(ONE, ZERO, Quaternion(0.5, math.nan), ONE),
+    QMat2(Quaternion(1e308), ZERO, ZERO, ONE),
+    QMat2(Quaternion(1e200, 1e200), ZERO, ZERO, ONE),  # a product overflows: inf - inf
+    exp_m(J * 360.0),
+    QMat2(Quaternion(-0.0, -0.0, -0.0, -0.0), Quaternion(1.0, -0.0), Quaternion(-1.0, 0.0, -0.0),
+          Quaternion(-0.0, -0.0, 0.0, -0.0)),
+    hyperbolic(-0.0)], ids=["inf", "-inf", "nan", "1e308", "overflow", "exp360", "-0", "H(-0)"])
+def test_sp11_residuals_on_non_finite_and_signed_zero_rows(a):
+    _same_residuals(a)
 
 
 # blocks inside exp_m's domain, beside finite ones that mostly overflow it

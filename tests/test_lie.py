@@ -11,7 +11,7 @@ from test_hmat import blockquat, finitequat
 from test_quat import _bits
 
 from sliceball.errors import DomainError
-from sliceball.hmat import IDENTITY, QMat2, diag, exp_m, hyperbolic, i_eps
+from sliceball.hmat import IDENTITY, QMat2, diag, exp_m, hyperbolic, i_eps, sp11_inverse
 from sliceball.lie import (ISO_IDENTITY, IsoGElement,
                            SliceFactorization, SymmFactorization,
                            centralizer_check, iso_g_act,
@@ -148,6 +148,28 @@ def test_decompositions_far_from_the_identity(r):
     assert (yfact.u - u).norm() <= 1e-12 and (yfact.v - v).norm() <= 1e-12
     assert (yfact.x - x).norm() <= 1e-12 * r
     assert (quotient_point(a) - w * math.tanh(r)).norm() <= 1e-12
+
+
+_UNDECIDABLE = "group membership cannot be decided in doubles: the largest entry norm"
+
+
+def test_the_gate_names_an_overflowing_squared_norm():
+    # cosh(r)^2 overflows from r = acosh(sqrt(max double)) ~ 355.58 on: the defect
+    # is NaN there, so the gate says membership cannot be decided rather than false
+    near = exp_m(J * 355.0)
+    for fn in (symm_decompose, slice_decompose):
+        assert (fn(near).x - J * 355.0).norm() <= 1e-12 * 355.0
+    far = exp_m(J * 360.0)
+    for fn in (symm_decompose, slice_decompose, quotient_point, sp11_inverse):
+        with pytest.raises(DomainError, match=_UNDECIDABLE) as exc:
+            fn(far)
+        assert f"{math.cosh(360.0)!r}" in str(exc.value) and "355.584" in str(exc.value)
+    # a finite 1e308 entry is as undecidable; a NaN or an infinity is not in the group
+    with pytest.raises(DomainError, match=_UNDECIDABLE):
+        symm_decompose(QMat2(Quaternion(1e308), ZERO, ZERO, ONE))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="matrix is not in the group"):
+            symm_decompose(QMat2(Quaternion(bad), ZERO, ZERO, ONE))
 
 
 def test_iso_act_examples():

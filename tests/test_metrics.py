@@ -13,13 +13,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from test_hmat import unitquat
-from test_quat import _bits, _qbits, anyquat
+from test_quat import _bits, _qbits, anyfloat, anyquat
 
 from sliceball.errors import DomainError
 from sliceball.hmat import I11, exp_m, hyperbolic
 from sliceball.lie import orbit_invariant
 from sliceball.metrics import geodesic_table, poincare_g, pullback_residual, slice_g, slice_h
-from sliceball.mobius import classical_apply, mobius_M, regular_apply
+from sliceball.mobius import classical_apply, differential, mobius_M, regular_apply
 from sliceball.quat import I, J, ONE, Quaternion, slice_split
 from sliceball.verify import sample_ball, sample_sphere3
 
@@ -157,6 +157,42 @@ def test_pullback_identity_map():
         defects = pullback_residual(lambda p: p, metric, q, rng)
         assert type(defects) is list and len(defects) == 8
         assert max(defects) <= 1e-9
+
+
+class _Draws(list):
+    """A plain list of draws offering the tolist() of a numpy array."""
+
+    def tolist(self):
+        return list(self)
+
+
+class _FixedRng:
+    def __init__(self, draws):
+        self.draws = draws
+
+    def standard_normal(self, n):
+        return _Draws(self.draws[:n])
+
+
+@given(st.builds(Quaternion, *[st.floats(-0.5, 0.5)] * 4), unitquat,
+       st.one_of(st.lists(anyfloat, min_size=8, max_size=8),
+                 st.builds(lambda seed: np.random.default_rng(seed).standard_normal(8).tolist(),
+                           st.integers(0, 2 ** 32 - 1))))
+def test_pullback_push_is_the_operator_form_bit_for_bit(q, m, draws):
+    # the fused push against the quaternion operators on differential's columns
+    def fn(p):
+        return p * m * p + m
+
+    seen = []
+
+    def metric(at, alpha, beta):
+        seen.append((alpha, beta))
+        return 0.0
+
+    pullback_residual(fn, metric, q, _FixedRng(draws), trials=1)
+    c0, c1, c2, c3 = differential(fn, q)
+    want = [(c0 * t.w + c2 * t.y) + (c1 * t.x + c3 * t.z) for t in seen[0]]
+    assert [_qbits(t) for t in seen[1]] == [_qbits(t) for t in want]
 
 
 def test_pullback_runs_without_numpy():

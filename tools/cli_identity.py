@@ -14,7 +14,12 @@ src/sliceball. Both run the same cases, each in a fresh process:
 - a fixed set of malformed inputs: bad JSON, wrong shapes, strings, bools,
   null, NaN, 1e308, a 400-digit integer, nesting deeper than the interpreter's
   stack, bad ``table`` arguments, and two tables whose last row lies past
-  the ``|tanh t|`` edge.
+  the ``|tanh t|`` edge;
+- the group gate's outcomes through ``check --what sp11``, ``check --what
+  o11`` and both ``decompose`` modes, in both formats: ``exp(7.5 j)``, which
+  passes by column scaling; ``exp(360 j)`` written out, finite with an
+  overflowing squared entry norm; ``diag(2, 1)``; and an entry ``1e400``,
+  which JSON reads as inf.
 
 A case differs when its stdout, exit code or stderr differs; verify's
 ``wall time:`` line is left out of stderr. One JSON line is printed per
@@ -58,6 +63,12 @@ def _with_entry(value) -> str:
     mat = [[list(q) for q in row] for row in _IDENTITY]
     mat[0][0][0] = value
     return json.dumps(mat)
+
+
+def _exp_j(r: float) -> str:
+    """exp(r j) = [[cosh r, -sinh r j], [sinh r j, cosh r]] as JSON."""
+    c, s = math.cosh(r), math.sinh(r)
+    return json.dumps([[[c, 0, 0, 0], [0, 0, -s, 0]], [[0, 0, s, 0], [c, 0, 0, 0]]])
 
 
 def verify_cases() -> list[tuple[list[str], str]]:
@@ -104,6 +115,15 @@ def malformed_cases() -> list[tuple[list[str], str]]:
               ["--t-min=0", "--t-max=300", "--steps=2"]]
     cases += [(["table"] + t, "") for t in tables]
     return cases
+
+
+def gate_cases() -> list[tuple[list[str], str]]:
+    bodies = [_exp_j(7.5), _exp_j(360.0), _with_entry(2),
+              "[[[1e400, 0, 0, 0], [0, 0, 0, 0]], [[0, 0, 0, 0], [1, 0, 0, 0]]]"]
+    commands = [["check", "--what", "sp11"], ["check", "--what", "o11"],
+                ["decompose", "--mode", "symm"], ["decompose", "--mode", "slice"]]
+    return [(argv + ["--format", f], body) for body in bodies for argv in commands
+            for f in FORMATS]
 
 
 def run(tree: Path, argv: list[str], stdin: str) -> dict:
@@ -183,7 +203,7 @@ def main(argv=None) -> int:
         print("usage: python3 tools/cli_identity.py PARENT CHANGE", file=sys.stderr)
         return 2
     parent, change = (Path(a).resolve() for a in args)
-    cases = verify_cases() + oneshot_cases() + malformed_cases()
+    cases = verify_cases() + oneshot_cases() + malformed_cases() + gate_cases()
     differ, reports = compare(parent, change, cases)
     for d in differ:
         print(json.dumps(d, sort_keys=True))
