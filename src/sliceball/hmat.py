@@ -165,13 +165,11 @@ def i_eps(eps: int) -> QMat2:
 # Group membership and inversion.
 
 def _sp11_residuals(a: QMat2) -> tuple[float, float]:
-    """(column_scaled_norm(P, A), P.max_norm()) of P = adjoint(A) sigma(A) - I in one pass.
+    """(column-scaled, absolute) max-norm of D = adjoint(A) K A - K, K = diag(1, -1), in one pass.
 
-    P_ij = conj(a_1i) s_1j + conj(a_2i) s_2j - delta_ij, s = sigma(A), on float locals with
-    the quaternion operators' products and sums in their order; the negated factor of s
-    moves out exactly, as (-x) y = -(x y), (-p) - (-q) = -(p - q) and p + (-q) = p - q up
-    to the sign of a zero, which no norm reads. So both values are the matrix form's bit
-    for bit, NaN canonicalised (sqrt is monotone, so the largest root is max_norm's).
+    D is Hermitian: D_21 = conj(D_12) and Im D_11 = Im D_22 = 0 (conj(x) x is real) carry
+    nothing. The real diagonal comes from the squared norms behind the column scales s_i;
+    no defect coordinate is squared, so a far member's roundoff does not overflow.
     """
     aw, ax, ay, az = a.m11.w, a.m11.x, a.m11.y, a.m11.z  # A = [[a, c], [b, d]]
     bw, bx, by, bz = a.m21.w, a.m21.x, a.m21.y, a.m21.z
@@ -181,35 +179,21 @@ def _sp11_residuals(a: QMat2) -> tuple[float, float]:
     nb = bw * bw + bx * bx + by * by + bz * bz
     nc = cw * cw + cx * cx + cy * cy + cz * cz
     nd = dw * dw + dx * dx + dy * dy + dz * dz
-    w = (na - nb) - 1.0  # Re P_11 from the column scales' squared norms
-    x = (aw * ax - ax * aw - ay * az + az * ay) - (bw * bx - bx * bw - by * bz + bz * by)
-    y = (aw * ay + ax * az - ay * aw - az * ax) - (bw * by + bx * bz - by * bw - bz * bx)
-    z = (aw * az - ax * ay + ay * ax - az * aw) - (bw * bz - bx * by + by * bx - bz * bw)
-    n11 = math.sqrt(w * w + x * x + y * y + z * z)  # |P_11| = |conj(a) a - conj(b) b - 1|
-    w = (bw * dw + bx * dx + by * dy + bz * dz) - (aw * cw + ax * cx + ay * cy + az * cz)
-    x = (bw * dx - bx * dw - by * dz + bz * dy) - (aw * cx - ax * cw - ay * cz + az * cy)
-    y = (bw * dy + bx * dz - by * dw - bz * dx) - (aw * cy + ax * cz - ay * cw - az * cx)
-    z = (bw * dz - bx * dy + by * dx - bz * dw) - (aw * cz - ax * cy + ay * cx - az * cw)
-    n12 = math.sqrt(w * w + x * x + y * y + z * z)  # |P_12| = |conj(b) d - conj(a) c|
-    w = (cw * aw + cx * ax + cy * ay + cz * az) - (dw * bw + dx * bx + dy * by + dz * bz)
-    x = (cw * ax - cx * aw - cy * az + cz * ay) - (dw * bx - dx * bw - dy * bz + dz * by)
-    y = (cw * ay + cx * az - cy * aw - cz * ax) - (dw * by + dx * bz - dy * bw - dz * bx)
-    z = (cw * az - cx * ay + cy * ax - cz * aw) - (dw * bz - dx * by + dy * bx - dz * bw)
-    n21 = math.sqrt(w * w + x * x + y * y + z * z)  # |P_21| = |conj(c) a - conj(d) b|
-    w = (nd - nc) - 1.0
-    x = (dw * dx - dx * dw - dy * dz + dz * dy) - (cw * cx - cx * cw - cy * cz + cz * cy)
-    y = (dw * dy + dx * dz - dy * dw - dz * dx) - (cw * cy + cx * cz - cy * cw - cz * cx)
-    z = (dw * dz - dx * dy + dy * dx - dz * dw) - (cw * cz - cx * cy + cy * cx - cz * cw)
-    n22 = math.sqrt(w * w + x * x + y * y + z * z)  # |P_22| = |conj(d) d - conj(c) c - 1|
+    n11 = abs((na - nb) - 1.0)  # |D_11| = |conj(a) a - conj(b) b - 1|
+    n22 = abs((nd - nc) - 1.0)  # |D_22| = |conj(c) c - conj(d) d + 1|
+    n12 = math.hypot(  # |D_12| = |conj(b) d - conj(a) c|
+        (bw * dw + bx * dx + by * dy + bz * dz) - (aw * cw + ax * cx + ay * cy + az * cz),
+        (bw * dx - bx * dw - by * dz + bz * dy) - (aw * cx - ax * cw - ay * cz + az * cy),
+        (bw * dy + bx * dz - by * dw - bz * dx) - (aw * cy + ax * cz - ay * cw - az * cx),
+        (bw * dz - bx * dy + by * dx - bz * dw) - (aw * cz - ax * cy + ay * cx - az * cw))
     s1 = max(1.0, math.hypot(math.sqrt(na), math.sqrt(nb)))
     s2 = max(1.0, math.hypot(math.sqrt(nc), math.sqrt(nd)))
-    return (nan_max((n11 / s1 / s1, n12 / s1 / s2, n21 / s2 / s1, n22 / s2 / s2)),
-            nan_max((n11, n12, n21, n22)))
+    return (nan_max((n11 / s1 / s1, n12 / s1 / s2, n22 / s2 / s2)), nan_max((n11, n12, n22)))
 
 
 def sp11_check(a: QMat2) -> tuple[bool, float]:
     """Membership under the column-scaled rule of ensure_sp11, paired with the
-    absolute residual: the max-norm of adjoint(A) sigma(A) - I."""
+    absolute residual: the max-norm of the Hermitian defect adjoint(A) K A - K."""
     scaled, absolute = _sp11_residuals(a)
     return scaled <= GROUP_TOL, absolute
 
@@ -217,11 +201,11 @@ def sp11_check(a: QMat2) -> tuple[bool, float]:
 def column_scaled_norm(d: QMat2, a: QMat2) -> float:
     """The largest |d_ij| / (s_i s_j), where s_i = max(1, |column i of A|).
 
-    Entry (i, j) of adjoint(A) sigma(A) pairs columns i and j of A, so its
-    roundoff is of order eps s_i s_j. Measured this way a member of any orbit
-    distance keeps a defect near eps, while a huge column gives no slack to the
-    entries of a tiny one. The group gate applies this rule in its fused pass,
-    _sp11_residuals; the recomposition gate calls it. A NaN anywhere gives NaN.
+    Entry (i, j) of the group defect adjoint(A) K A - K pairs columns i and j of A,
+    so its roundoff is of order eps s_i s_j: a member of any orbit distance keeps a
+    defect near eps, while a huge column gives no slack to a tiny one. The group gate
+    applies this rule to the defect's independent entries in _sp11_residuals; the
+    recomposition gate calls it. A NaN anywhere gives NaN.
     """
     n = [math.sqrt(e.w * e.w + e.x * e.x + e.y * e.y + e.z * e.z)  # Quaternion.norm
          for e in (a.m11, a.m21, a.m12, a.m22, d.m11, d.m12, d.m21, d.m22)]

@@ -46,7 +46,10 @@ def regular_apply(a: QMat2, q: Quaternion) -> Quaternion:
     m11, m12, m21, m22 = a.m11, a.m12, a.m21, a.m22
     c12, c22 = m12.conj(), m22.conj()
     dval = q * (q * (m12 * c12) + (m22 * c12 + m12 * c22)) + m22 * c22
-    if dval.norm() <= 1e-12 * max(1.0, m22.norm(), m12.norm()) ** 2:
+    n = dval.norm()
+    if not n < math.inf:  # its squared norm overflowed, so its inverse would round to 0
+        raise DomainError("the denominator f^s(q) is too large: its squared norm overflows")
+    if n <= 1e-12 * max(1.0, m22.norm(), m12.norm()) ** 2:
         raise ConsistencyError(
             "denominator symmetrization vanished inside the ball; entry convention or input broken")
     return dval.inverse() * (q * (q * (c12 * m11) + (c22 * m11 + c12 * m21)) + c22 * m21)

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from sliceball import CENTRALIZER_SUBGROUPS, verify
 from sliceball.cli import _mat_from_list, _quat_from_list, _quat_to_list, main
 from sliceball.hmat import I11, IDENTITY, QMat2, diag, exp_m, hyperbolic
-from sliceball.lie import SliceFactorization, SymmFactorization
+from sliceball.lie import SliceFactorization, SymmFactorization, symm_compose
 from sliceball.quat import I, J, ONE, Quaternion, sgn
 
 
@@ -525,6 +525,31 @@ def test_decompose_past_the_squared_overflow(capsys, monkeypatch, mode):
                              stdin=json.dumps(mat_to_list(exp_m(J * 360.0))))
     assert code == 1 and out == ""
     assert "group membership cannot be decided in doubles" in err and "355.584" in err
+
+
+@pytest.mark.parametrize("mode", ["slice", "symm"])
+@pytest.mark.parametrize("mat", [
+    exp_m(J * 300.0),  # its defect cancels exactly
+    symm_compose(SymmFactorization(sgn(Quaternion(1, 2, 3, 4)), sgn(Quaternion(-1, 0.5, 2, 1)),
+                                   sgn(Quaternion(0, 1, -2, 3)) * 300.0)),  # roundoff near 1e244
+], ids=["exp300j", "generic300"])
+def test_decompose_a_member_below_the_squared_overflow(capsys, monkeypatch, mode, mat):
+    # orbit distance 300: the entries' squared norms stay finite, so the gate decides
+    code, out, err = run_cli(capsys, monkeypatch, ["decompose", "--mode", mode, "--format", "json"],
+                             stdin=json.dumps(mat_to_list(mat)))
+    assert code == 0 and err == ""
+    assert abs(Quaternion(*json.loads(out)["X"]).norm() - 300.0) <= 1e-12 * 300.0
+
+
+@pytest.mark.parametrize("kind", ["classical", "regular"])
+def test_mobius_refuses_a_far_member_it_cannot_apply(capsys, monkeypatch, kind):
+    # exp(185 j) passes the gate; the classical image rounds onto the sphere and the
+    # regular map's f^s(q) overflows when squared
+    payload = {"matrix": mat_to_list(exp_m(J * 185.0)), "point": [0.1, 0, 0, 0]}
+    code, out, err = run_cli(capsys, monkeypatch, ["mobius", "--kind", kind, "--format", "json"],
+                             stdin=json.dumps(payload))
+    assert code == 1 and out == ""
+    assert "domain error" in err
 
 
 @pytest.mark.parametrize("kind", ["classical", "regular"])

@@ -13,9 +13,8 @@ from test_quat import _bits, anyfloat, anyquat
 from sliceball import verify
 from sliceball.errors import DomainError
 from sliceball.hmat import (ALGEBRA_TOL, I11, IDENTITY, QMat2, Sp11Algebra, _sp11_residuals,
-                            algebra_check, column_scaled_norm, diag, exp_general, exp_m,
-                            hyperbolic, lie_bracket, off_diag, psi_embed, sigma, sp11_check,
-                            sp11_inverse)
+                            algebra_check, diag, exp_general, exp_m, hyperbolic, lie_bracket,
+                            nan_max, off_diag, psi_embed, sigma, sp11_check, sp11_inverse)
 from sliceball.quat import I, J, K, ONE, ZERO, Quaternion, sgn
 from sliceball.verify import sample_sphere3
 
@@ -177,9 +176,29 @@ def _product_algebra_residual(x: QMat2) -> float:
     return (x.adjoint() @ I11 + I11 @ x).max_norm()
 
 
+def _coords(q: Quaternion) -> tuple[float, float, float, float]:
+    return q.w, q.x, q.y, q.z
+
+
+def _defect_residuals(a: QMat2) -> tuple[float, float]:
+    """The gate's reduction of the operator-form defect D: |Re D_11|, |D_12| and
+    |Re D_22|, column-scaled as in column_scaled_norm and absolute."""
+    d = _product_defect(a)
+    n11, n22 = abs(d.m11.w), abs(d.m22.w)
+    n12 = math.hypot(*_coords(d.m12))
+    s1 = max(1.0, math.hypot(a.m11.norm(), a.m21.norm()))
+    s2 = max(1.0, math.hypot(a.m12.norm(), a.m22.norm()))
+    return nan_max((n11 / s1 / s1, n12 / s1 / s2, n22 / s2 / s2)), nan_max((n11, n12, n22))
+
+
+def _same_residuals(a: QMat2) -> None:
+    # the fused pass against the operators' defect matrix and its three-entry reduction
+    assert _bits(*_sp11_residuals(a)) == _bits(*_defect_residuals(a))
+    assert _bits(sp11_check(a)[1]) == _bits(_defect_residuals(a)[1])
+
+
 def _same_forms(a: QMat2) -> None:
-    assert _bits(sp11_check(a)[1]) == _bits(_product_defect(a).max_norm())
-    assert _bits(_sp11_residuals(a)[0]) == _bits(column_scaled_norm(_product_defect(a), a))
+    _same_residuals(a)
     assert _bits(algebra_check(a)[1]) == _bits(_product_algebra_residual(a))
 
 
@@ -220,12 +239,6 @@ def _normal_mat(seed: int) -> QMat2:
 normalmat = st.builds(_normal_mat, st.integers(0, 2 ** 32 - 1))
 
 
-def _same_residuals(a: QMat2) -> None:
-    # the fused pass against the matrix operators and the two reductions it replaces
-    p = a.adjoint() @ sigma(a) - IDENTITY
-    assert _bits(*_sp11_residuals(a)) == _bits(column_scaled_norm(p, a), p.max_norm())
-
-
 @given(st.one_of(anymat, st.builds(QMat2, *[unitquat] * 4), membermat, normalmat))
 def test_sp11_residuals_are_the_matrix_form_bit_for_bit(a):
     _same_residuals(a)
@@ -243,6 +256,26 @@ def test_sp11_residuals_are_the_matrix_form_bit_for_bit(a):
     hyperbolic(-0.0)], ids=["inf", "-inf", "nan", "1e308", "overflow", "exp360", "-0", "H(-0)"])
 def test_sp11_residuals_on_non_finite_and_signed_zero_rows(a):
     _same_residuals(a)
+
+
+# coordinates up to 1e150, whose products and sums of products stay finite
+boundedmat = st.builds(QMat2, *[st.builds(Quaternion, *[st.floats(-1e150, 1e150)] * 4)] * 4)
+
+
+@given(st.one_of(boundedmat, st.builds(QMat2, *[unitquat] * 4), membermat, normalmat))
+def test_the_dropped_defect_coordinates_carry_nothing(a):
+    # D = adjoint(A) K A - K is Hermitian: Im D_11 and Im D_22 are 0, as conj(x) x is
+    # real, and D_21 = conj(D_12). In floats the i parts cancel exactly; the j and k
+    # parts and |D_21| - |D_12| are roundoff of the order the gate allows, eps s_i s_j
+    d = _product_defect(a)
+    assert (d.m11.x, d.m22.x) == (0.0, 0.0)
+    eps = sys.float_info.epsilon
+    s1 = max(1.0, math.hypot(a.m11.norm(), a.m21.norm()))
+    s2 = max(1.0, math.hypot(a.m12.norm(), a.m22.norm()))
+    assert math.hypot(d.m11.y, d.m11.z) <= 8 * eps * s1 * s1
+    assert math.hypot(d.m22.y, d.m22.z) <= 8 * eps * s2 * s2
+    gap = math.hypot(*_coords(d.m21)) - math.hypot(*_coords(d.m12))
+    assert abs(gap) <= 8 * eps * s1 * s2
 
 
 # blocks inside exp_m's domain, beside finite ones that mostly overflow it

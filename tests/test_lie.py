@@ -11,7 +11,8 @@ from test_hmat import blockquat, finitequat
 from test_quat import _bits
 
 from sliceball.errors import DomainError
-from sliceball.hmat import IDENTITY, QMat2, diag, exp_m, hyperbolic, i_eps, sp11_inverse
+from sliceball.hmat import (IDENTITY, QMat2, diag, ensure_sp11, exp_m, hyperbolic, i_eps,
+                            sp11_inverse)
 from sliceball.lie import (ISO_IDENTITY, IsoGElement,
                            SliceFactorization, SymmFactorization,
                            centralizer_check, iso_g_act,
@@ -150,12 +151,28 @@ def test_decompositions_far_from_the_identity(r):
     assert (quotient_point(a) - w * math.tanh(r)).norm() <= 1e-12
 
 
+@pytest.mark.parametrize("r", [200.0, 300.0, 355.5])
+def test_members_out_to_the_squared_norm_edge(r):
+    # a member's defect roundoff, near eps cosh(r)^2, would overflow when squared from
+    # r ~ 196 on; the gate reads it unsquared, so members pass while cosh(r)^2 is finite
+    rng = np.random.default_rng(int(r))
+    for _ in range(10):
+        u, v, w = sample_sphere3(rng), sample_sphere3(rng), sample_sphere3(rng)
+        a = symm_compose(SymmFactorization(u, v, w * r))
+        assert ensure_sp11(a) is a
+        yfact = symm_decompose(a)
+        assert (yfact.u - u).norm() <= 1e-12 and (yfact.v - v).norm() <= 1e-12
+        assert (yfact.x - w * r).norm() <= 1e-12 * r
+        assert abs(slice_decompose(a).x.norm() - r) <= 1e-12 * r
+        assert (quotient_point(a) - v * w * v.conj()).norm() <= 1e-12  # tanh r rounds to 1
+
+
 _UNDECIDABLE = "group membership cannot be decided in doubles: the largest entry norm"
 
 
 def test_the_gate_names_an_overflowing_squared_norm():
     # cosh(r)^2 overflows from r = acosh(sqrt(max double)) ~ 355.58 on: the defect
-    # is NaN there, so the gate says membership cannot be decided rather than false
+    # is inf or NaN there, so the gate says membership cannot be decided rather than false
     near = exp_m(J * 355.0)
     for fn in (symm_decompose, slice_decompose):
         assert (fn(near).x - J * 355.0).norm() <= 1e-12 * 355.0

@@ -80,6 +80,21 @@ def test_regular_apply_rejects_a_vanishing_denominator():
         regular_apply(QMat2(ONE, ZERO, ZERO, ZERO), Quaternion(0.3, 0.1))
 
 
+def test_both_maps_refuse_a_denominator_whose_squared_norm_overflows():
+    # members the group gate decides: f^s(q) is quadratic in cosh r, so its squared
+    # norm overflows from r ~ 178.4 on, where its inverse would round to 0
+    q = Quaternion(0.1)
+    assert regular_apply(exp_m(J * 178.0), q).norm() <= 1.0 + 1e-15
+    for r in (185.0, 400.0):
+        with pytest.raises(DomainError, match=r"f\^s\(q\) is too large"):
+            regular_apply(exp_m(J * r), q)
+    # q m12 + m22 is linear in cosh r: at r = 185 the image rounds onto the sphere,
+    # which the CLI's ball guard rejects, and from r ~ 355.6 the guard here raises
+    assert classical_apply(exp_m(J * 185.0), q).norm() >= 1.0
+    with pytest.raises(DomainError, match="squared norm overflows"):
+        classical_apply(exp_m(J * 400.0), q)
+
+
 def test_mobius_M_examples():
     assert (mobius_M(Quaternion()) - IDENTITY).max_norm() == 0.0
     a = math.tanh(1.0)

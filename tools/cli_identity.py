@@ -17,9 +17,11 @@ src/sliceball. Both run the same cases, each in a fresh process:
   the ``|tanh t|`` edge;
 - the group gate's outcomes through ``check --what sp11``, ``check --what
   o11`` and both ``decompose`` modes, in both formats: ``exp(7.5 j)``, which
-  passes by column scaling; ``exp(360 j)`` written out, finite with an
-  overflowing squared entry norm; ``diag(2, 1)``; and an entry ``1e400``,
-  which JSON reads as inf.
+  passes by column scaling; ``exp(300 j)`` written out and a generic member
+  of orbit distance 300, whose defect roundoff overflows when squared;
+  ``exp(360 j)`` written out, finite with an overflowing squared entry norm;
+  ``diag(2, 1)``; and an entry ``1e400``, which JSON reads as inf; and
+  ``exp(185 j)`` through both ``mobius`` kinds.
 
 A case differs when its stdout, exit code or stderr differs; verify's
 ``wall time:`` line is left out of stderr. One JSON line is printed per
@@ -71,6 +73,18 @@ def _exp_j(r: float) -> str:
     return json.dumps([[[c, 0, 0, 0], [0, 0, -s, 0]], [[0, 0, s, 0], [c, 0, 0, 0]]])
 
 
+def _generic_member(r: float) -> str:
+    """diag(u, v) exp(r w) for fixed unit u, v, w as JSON; unlike exp(r j), whose
+    defect cancels exactly, its defect holds roundoff of order eps cosh(r)^2."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from sliceball.lie import SymmFactorization, symm_compose
+    from sliceball.quat import Quaternion, sgn
+    a = symm_compose(SymmFactorization(sgn(Quaternion(1, 2, 3, 4)), sgn(Quaternion(-1, 0.5, 2, 1)),
+                                       sgn(Quaternion(0, 1, -2, 3)) * r))
+    return json.dumps([[[e.w, e.x, e.y, e.z] for e in row]
+                       for row in ((a.m11, a.m12), (a.m21, a.m22))])
+
+
 def verify_cases() -> list[tuple[list[str], str]]:
     sys.path.insert(0, str(ROOT / "src"))
     from sliceball import SUITES
@@ -118,12 +132,15 @@ def malformed_cases() -> list[tuple[list[str], str]]:
 
 
 def gate_cases() -> list[tuple[list[str], str]]:
-    bodies = [_exp_j(7.5), _exp_j(360.0), _with_entry(2),
-              "[[[1e400, 0, 0, 0], [0, 0, 0, 0]], [[0, 0, 0, 0], [1, 0, 0, 0]]]"]
+    bodies = [_exp_j(7.5), _exp_j(300.0), _generic_member(300.0), _exp_j(360.0),
+              _with_entry(2), "[[[1e400, 0, 0, 0], [0, 0, 0, 0]], [[0, 0, 0, 0], [1, 0, 0, 0]]]"]
     commands = [["check", "--what", "sp11"], ["check", "--what", "o11"],
                 ["decompose", "--mode", "symm"], ["decompose", "--mode", "slice"]]
-    return [(argv + ["--format", f], body) for body in bodies for argv in commands
-            for f in FORMATS]
+    cases = [(argv + ["--format", f], body) for body in bodies for argv in commands
+             for f in FORMATS]
+    far = json.dumps({"matrix": json.loads(_exp_j(185.0)), "point": [0.1, 0, 0, 0]})
+    return cases + [(["mobius", "--kind", k, "--format", f], far)
+                    for k in ("classical", "regular") for f in FORMATS]
 
 
 def run(tree: Path, argv: list[str], stdin: str) -> dict:
